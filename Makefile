@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint docs verify-programs all
+.PHONY: test lint docs verify-programs bench all
 
 all: lint test docs
 
@@ -34,3 +34,12 @@ verify-programs:
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 1
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 64 --ctx-prev 0
 	$(PYTHON) -m repro lint-program tiny --batched 4 --errors-only
+
+# Cold-process benchmark (perfbench/README.md): every workload in
+# BENCHMARK.json, seed 1, about 20 s of children each, untraced.
+BENCH_WORKLOADS := serve-steady serve-tenants step-grid
+
+bench:
+	@for w in $(BENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done

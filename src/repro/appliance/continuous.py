@@ -1136,6 +1136,11 @@ class _EventKernel:
         victims wins, then the least KV freed (least over-eviction),
         then the lowest device index.
         """
+        # Every resident's tier is one of the queue's classes, so the
+        # lowest tier has nothing strictly below it to evict.
+        if priority <= min(tc.priority
+                           for tc in self.queue.classes.values()):
+            return None, []
         max_batch = self.sched.max_batch
         best_key: Optional[Tuple[int, int, int]] = None
         best: Tuple[Optional[_Device], List[_Running]] = (None, [])
@@ -1220,20 +1225,23 @@ class _EventKernel:
         else:
             busy_until = now
         start = max(now, dev.stall_until, busy_until)
+        # Identity sets (`_Running` is eq=False), never slot sets: a
+        # victim preempted mid-prefill stays in `unit_prefills` while its
+        # preemptor reuses its slot, and that prefill must still count.
+        skip = set(dev.unit_prefills)
+        skip.update(victims)
         queued = sum(
             self.step.prefill_s(e.request.input_len)
             for e in dev.batch
-            if e.generated == 0
-            and not any(e is p for p in dev.unit_prefills)
-            and not any(e is v for v in victims))
+            if e.generated == 0 and e not in skip)
         own = self.step.prefill_s(item.request.input_len)
         return start + queued + own - item.arrival_s
 
     def _projected_tbt(self, item: _QueueItem, dev: _Device,
                        victims: List[_Running]) -> float:
         """Projected decode step time at the post-admission occupancy."""
-        survivors = [e for e in dev.batch
-                     if not any(e is v for v in victims)]
+        evicted = set(victims)
+        survivors = [e for e in dev.batch if e not in evicted]
         batch = len(survivors) + 1
         ctx = int(math.ceil(
             (sum(e.context_len for e in survivors)

@@ -17,7 +17,12 @@ from typing import List
 
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm.config import LLMConfig
-from repro.llm.graph import StageShape, embedding_ops, lm_head_ops
+from repro.llm.graph import (
+    StageParts,
+    StageShape,
+    embedding_ops,
+    lm_head_ops,
+)
 from repro.llm.kvcache import kv_spare_bytes
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
 
@@ -93,9 +98,10 @@ def batched_gen_layer_ops(config: LLMConfig, context_len: int, batch: int,
     return ops
 
 
-def batched_gen_stage_ops(config: LLMConfig, context_len: int, batch: int,
-                          tensor_parallel: int = 1) -> List[OpSpec]:
-    """A full batched gen step across all decoding layers plus LM heads."""
+def batched_gen_stage_parts(config: LLMConfig, context_len: int,
+                            batch: int,
+                            tensor_parallel: int = 1) -> StageParts:
+    """A full batched gen step, split into embed / one layer / LM heads."""
     if batch < 1:
         raise ConfigurationError(f"batch={batch} must be >= 1")
     # Embedding: one gather row per request.  StageShape couples rows to
@@ -103,27 +109,32 @@ def batched_gen_stage_ops(config: LLMConfig, context_len: int, batch: int,
     # single-request graph), which is wrong here — each request embeds
     # one token at its *own* position — so build from the batch-1 shape
     # and scale the row count instead of widening the span.
-    embed = embedding_ops(config, StageShape(batch_tokens=1, context_len=1))
-    ops = [OpSpec(name=op.name, kind=op.kind,
-                  flops=op.flops * batch,
-                  weight_bytes=op.weight_bytes * batch,
-                  input_bytes=op.input_bytes * batch,
-                  output_bytes=op.output_bytes * batch)
-           for op in embed]
-    for i in range(config.num_layers):
-        ops.extend(batched_gen_layer_ops(config, context_len, batch,
-                                         tensor_parallel,
-                                         layer_name=f"layer{i}"))
+    one = StageShape(batch_tokens=1, context_len=1)
+    embed = [OpSpec(name=op.name, kind=op.kind,
+                    flops=op.flops * batch,
+                    weight_bytes=op.weight_bytes * batch,
+                    input_bytes=op.input_bytes * batch,
+                    output_bytes=op.output_bytes * batch)
+             for op in embedding_ops(config, one)]
+    layer = batched_gen_layer_ops(config, context_len, batch,
+                                  tensor_parallel)
     # One LM head per request in the batch.
-    head = lm_head_ops(config, StageShape(batch_tokens=1, context_len=1))
-    for op in head:
-        ops.append(OpSpec(name=op.name, kind=op.kind,
-                          flops=op.flops * batch,
-                          weight_bytes=op.weight_bytes,
-                          input_bytes=op.input_bytes * batch,
-                          output_bytes=op.output_bytes * batch,
-                          m=op.m, n=op.n, k=op.k))
-    return ops
+    head = [OpSpec(name=op.name, kind=op.kind,
+                   flops=op.flops * batch,
+                   weight_bytes=op.weight_bytes,
+                   input_bytes=op.input_bytes * batch,
+                   output_bytes=op.output_bytes * batch,
+                   m=op.m, n=op.n, k=op.k)
+            for op in lm_head_ops(config, one)]
+    return StageParts(embed=embed, layer=layer, head=head,
+                      num_layers=config.num_layers)
+
+
+def batched_gen_stage_ops(config: LLMConfig, context_len: int, batch: int,
+                          tensor_parallel: int = 1) -> List[OpSpec]:
+    """A full batched gen step across all decoding layers plus LM heads."""
+    return batched_gen_stage_parts(config, context_len, batch,
+                                   tensor_parallel).ops()
 
 
 def batch_kv_bytes(config: LLMConfig, context_len: int, batch: int) -> int:

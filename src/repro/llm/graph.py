@@ -19,7 +19,7 @@ all-reduce points per layer (after attention projection, after FC2), which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm.config import LLMConfig
@@ -144,16 +144,53 @@ def embedding_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
                    output_bytes=float(elems * config.dtype_bytes))]
 
 
+class StageParts(NamedTuple):
+    """One stage split at its decoder-layer boundary.
+
+    The stage is ``embed``, then ``layer`` once for each of the
+    ``num_layers`` decoder layers, then ``head``.  Every decoder layer of
+    a stage has the same shapes, so a cost model that reads only op shapes
+    can price ``layer`` once and repeat it.  ``layer`` ops are named
+    ``layer.<op>``; :meth:`ops` renames them ``layer<i>.<op>``.
+    """
+
+    embed: List[OpSpec]
+    layer: List[OpSpec]
+    head: List[OpSpec]
+    num_layers: int
+
+    def ops(self) -> List[OpSpec]:
+        """The flat operator list of the whole stage."""
+        ops = list(self.embed)
+        for i in range(self.num_layers):
+            prefix = f"layer{i}"
+            ops.extend(OpSpec(**{**vars(op),
+                                 "name": prefix + op.name[len("layer"):]})
+                       for op in self.layer)
+        ops.extend(self.head)
+        return ops
+
+
+def _stage_parts(config: LLMConfig, shape: StageShape,
+                 tensor_parallel: int) -> StageParts:
+    return StageParts(embed=embedding_ops(config, shape),
+                      layer=decoder_layer_ops(config, shape,
+                                              tensor_parallel),
+                      head=lm_head_ops(config, shape),
+                      num_layers=config.num_layers)
+
+
+def sum_stage_parts(config: LLMConfig, input_len: int,
+                    tensor_parallel: int = 1) -> StageParts:
+    """The summarization stage over ``input_len`` tokens, in parts."""
+    shape = StageShape(batch_tokens=input_len, context_len=input_len)
+    return _stage_parts(config, shape, tensor_parallel)
+
+
 def sum_stage_ops(config: LLMConfig, input_len: int,
                   tensor_parallel: int = 1) -> List[OpSpec]:
     """All operators of the summarization stage over ``input_len`` tokens."""
-    shape = StageShape(batch_tokens=input_len, context_len=input_len)
-    ops = embedding_ops(config, shape)
-    for i in range(config.num_layers):
-        ops.extend(decoder_layer_ops(config, shape, tensor_parallel,
-                                     layer_name=f"layer{i}"))
-    ops.extend(lm_head_ops(config, shape))
-    return ops
+    return sum_stage_parts(config, input_len, tensor_parallel).ops()
 
 
 def gen_stage_ops(config: LLMConfig, context_len: int,
@@ -165,12 +202,7 @@ def gen_stage_ops(config: LLMConfig, context_len: int,
     ``L``).
     """
     shape = StageShape(batch_tokens=1, context_len=context_len)
-    ops = embedding_ops(config, shape)
-    for i in range(config.num_layers):
-        ops.extend(decoder_layer_ops(config, shape, tensor_parallel,
-                                     layer_name=f"layer{i}"))
-    ops.extend(lm_head_ops(config, shape))
-    return ops
+    return _stage_parts(config, shape, tensor_parallel).ops()
 
 
 def inference_op_count(config: LLMConfig, input_len: int,

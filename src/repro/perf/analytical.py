@@ -27,16 +27,27 @@ from repro.errors import ConfigurationError
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernels import GpuKernelModel
 from repro.gpu.power import GpuPowerModel
-from repro.llm.batching import batched_gen_stage_ops
+from repro.llm.batching import batched_gen_stage_parts
 from repro.llm.config import LLMConfig
-from repro.llm.graph import gen_stage_ops, sum_stage_ops
+from repro.llm.graph import (
+    StageParts,
+    gen_stage_ops,
+    sum_stage_ops,
+    sum_stage_parts,
+)
 from repro.llm.ops import OpKind, OpSpec
 import repro.perf.calibration as cal
 from repro.perf.metrics import InferenceResult, StageResult
 
 
 class DevicePerfModel(Protocol):
-    """What the inference timer needs from a device."""
+    """What the inference timer needs from a device.
+
+    ``op_time`` must be a pure function of an op's ``kind`` and shape
+    fields (FLOPs, bytes, ``m``/``n``/``k``, ``elem_bytes``), never of
+    its ``name``: :class:`BatchStepTimer` prices one decoder layer and
+    repeats that price for every layer of the stage.
+    """
 
     name: str
 
@@ -58,6 +69,10 @@ class GpuPerfModel:
 
     spec: GPUSpec
 
+    def __post_init__(self) -> None:
+        # Derived once; the frozen spec cannot change under it.
+        object.__setattr__(self, "_kernels", GpuKernelModel(self.spec))
+
     @property
     def name(self) -> str:
         return self.spec.name
@@ -71,7 +86,7 @@ class GpuPerfModel:
         return self.spec.memory_bandwidth
 
     def op_time(self, op: OpSpec) -> float:
-        return GpuKernelModel(self.spec).op_time(op)
+        return self._kernels.op_time(op)
 
     def power_watts(self, compute_utilization: float,
                     bandwidth_utilization: float) -> float:
@@ -90,6 +105,17 @@ class PnmPerfModel:
 
     device: CXLPNMDevice
 
+    def __post_init__(self) -> None:
+        # The device is frozen, so its derived timing is fixed: derive it
+        # once here, not on every op_time call.  These attributes are not
+        # dataclass fields, so ==, hash and repr still see only `device`.
+        device = self.device
+        object.__setattr__(self, "_mpu", device.mpu_timing())
+        object.__setattr__(self, "_vpu", device.vpu_timing())
+        object.__setattr__(self, "_dma", device.dma_timing())
+        object.__setattr__(self, "_bandwidth",
+                           device.effective_memory_bandwidth)
+
     @property
     def name(self) -> str:
         return "CXL-PNM"
@@ -104,13 +130,13 @@ class PnmPerfModel:
         return self.device.peak_memory_bandwidth
 
     def _matmul_time(self, op: OpSpec) -> float:
-        mpu = self.device.mpu_timing()
+        mpu = self._mpu
         clock = self.device.spec.clock_hz
         # Attention ops fold heads into flops; recover the per-matmul
         # shape scale so tile rounding applies per head.
         base_flops = 2.0 * max(op.m, 1) * op.n * op.k
         head_factor = max(1.0, op.flops / base_flops)
-        bandwidth = self.device.effective_memory_bandwidth
+        bandwidth = self._bandwidth
         if op.kind is OpKind.GEMM:
             # A GEMM can run on the PE array (weights stream once; rows
             # round up to the 64-row array) or as row-by-row GEMV sweeps
@@ -136,22 +162,21 @@ class PnmPerfModel:
         return max(compute, memory) + cal.PNM_INSTRUCTION_OVERHEAD_S
 
     def _vector_time(self, op: OpSpec) -> float:
-        vpu = self.device.vpu_timing()
+        vpu = self._vpu
         elements = op.output_bytes / op.elem_bytes
         passes = {
             OpKind.SOFTMAX: 3.0, OpKind.LAYERNORM: 3.0, OpKind.GELU: 2.0,
         }.get(op.kind, 1.0)
         cycles = vpu.issue_cycles + passes * elements / vpu.lanes
         compute = cycles / self.device.spec.clock_hz
-        memory = op.total_bytes / self.device.effective_memory_bandwidth
+        memory = op.total_bytes / self._bandwidth
         return max(compute, memory) + cal.PNM_INSTRUCTION_OVERHEAD_S
 
     def op_time(self, op: OpSpec) -> float:
         if op.kind.is_matmul:
             return self._matmul_time(op)
         if op.kind is OpKind.EMBEDDING:
-            dma = self.device.dma_timing()
-            return dma.transfer_time(op.total_bytes) \
+            return self._dma.transfer_time(op.total_bytes) \
                 + cal.PNM_INSTRUCTION_OVERHEAD_S
         return self._vector_time(op)
 
@@ -167,6 +192,20 @@ CommModel = Callable[[int], float]
 
 def no_comm(_batch_tokens: int) -> float:
     return 0.0
+
+
+def stage_time_s(parts: StageParts, model: DevicePerfModel) -> float:
+    """Summed ``op_time`` over ``parts.ops()``, pricing one decoder layer.
+
+    The per-op times are added left to right in stage order, exactly as
+    ``sum(model.op_time(op) for op in parts.ops())`` adds them, so the
+    result is bit-identical; only the layer's ``op_time`` calls are not
+    repeated (see :class:`DevicePerfModel`).
+    """
+    op_time = model.op_time
+    return sum([op_time(op) for op in parts.embed]
+               + [op_time(op) for op in parts.layer] * parts.num_layers
+               + [op_time(op) for op in parts.head])
 
 
 def stage_result(name: str, ops: Sequence[OpSpec], model: DevicePerfModel,
@@ -280,7 +319,7 @@ class BatchStepTimer:
 
     One *decode step* runs a batched gen stage — each running request
     contributes one token row, the weights stream once — so its cost
-    comes from :func:`~repro.llm.batching.batched_gen_stage_ops`; one
+    comes from :func:`~repro.llm.batching.batched_gen_stage_parts`; one
     *prefill* is the plain sum stage of a newly admitted request.
 
     Decode cost is affine in the attention span, so the scheduler may
@@ -320,9 +359,9 @@ class BatchStepTimer:
             raise ConfigurationError("input_len must be >= 1")
         cached = self._prefill_cache.get(input_len)
         if cached is None:
-            ops = sum_stage_ops(self.config, input_len, self.tensor_parallel)
-            cached = sum(self.model.op_time(op) for op in ops) \
-                + self.comm(input_len)
+            parts = sum_stage_parts(self.config, input_len,
+                                    self.tensor_parallel)
+            cached = stage_time_s(parts, self.model) + self.comm(input_len)
             self._prefill_cache[input_len] = cached
         return cached
 
@@ -340,10 +379,9 @@ class BatchStepTimer:
         key = (batch, self._quantize(context_len))
         cached = self._decode_cache.get(key)
         if cached is None:
-            ops = batched_gen_stage_ops(self.config, key[1], batch,
-                                        self.tensor_parallel)
-            cached = sum(self.model.op_time(op) for op in ops) \
-                + self.comm(batch)
+            parts = batched_gen_stage_parts(self.config, key[1], batch,
+                                            self.tensor_parallel)
+            cached = stage_time_s(parts, self.model) + self.comm(batch)
             self._decode_cache[key] = cached
         return cached
 
@@ -354,9 +392,10 @@ class BatchStepTimer:
         Vectorized companion to :meth:`decode_step_s` for the event
         kernel's macro-steps: quantization happens in one numpy pass,
         the underlying cost model is consulted once per *unique*
-        quantized context (at most ``len(context_lens) //
-        context_quantum + 1`` times for a consecutive run), and each
-        returned element is bit-identical to the scalar call.
+        quantized context (at most ``ceil((n - 1) / context_quantum) +
+        1`` times for a consecutive run of ``n`` contexts no longer than
+        ``config.max_seq_len``), and each returned element is
+        bit-identical to the scalar call.
         """
         ctxs = np.asarray(context_lens, dtype=np.int64)
         if ctxs.size == 0:

@@ -399,9 +399,11 @@ class SimulatedStepTimer:
         Vectorized companion to :meth:`decode_step_s` for the event
         kernel's macro-steps: contexts are quantized in one numpy
         pass and the simulator prices each *unique* quantized context
-        once (the simulator's own ``timing_key`` duration cache makes
-        repeats across calls cheap too).  Each element is
-        bit-identical to the scalar call.
+        once — at most ``ceil((n - 1) / context_quantum) + 1`` times
+        for a consecutive run of ``n`` contexts no longer than
+        ``config.max_seq_len`` (the simulator's own ``timing_key``
+        duration cache makes repeats across calls cheap too).  Each
+        element is bit-identical to the scalar call.
         """
         ctxs = np.asarray(context_lens, dtype=np.int64)
         if ctxs.size == 0:

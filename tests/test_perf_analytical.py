@@ -1,13 +1,29 @@
 """Analytical performance model: rooflines, integration, energy."""
 
+import pickle
+
 import pytest
 
 from repro.accelerator import CXLPNMDevice
+from repro.accelerator.device import AcceleratorSpec
 from repro.errors import ConfigurationError
 from repro.gpu import A100_40G
-from repro.llm import OPT_13B, OPT_1_3B, tiny_config
+from repro.llm import OPT_13B, OPT_1_3B, OPT_30B, tiny_config
+from repro.llm.batching import (
+    batched_gen_layer_ops,
+    batched_gen_stage_ops,
+    batched_gen_stage_parts,
+)
+from repro.llm.graph import (
+    StageShape,
+    decoder_layer_ops,
+    embedding_ops,
+    lm_head_ops,
+    sum_stage_ops,
+)
 from repro.llm.ops import matmul_op, vector_op, OpKind
 from repro.perf.analytical import (
+    BatchStepTimer,
     GpuPerfModel,
     InferenceTimer,
     PnmPerfModel,
@@ -45,7 +61,6 @@ class TestPnmOpModel:
         assert pnm.op_time(op) < 1e-4
 
     def test_embedding_uses_dma(self, pnm):
-        from repro.llm.graph import embedding_ops, StageShape
         op = embedding_ops(tiny_config(),
                            StageShape(batch_tokens=4, context_len=4))[0]
         assert pnm.op_time(op) > 0
@@ -127,3 +142,75 @@ class TestMetricsDerivation:
         assert relative_delta(110, 100) == pytest.approx(0.1)
         with pytest.raises(ConfigurationError):
             relative_delta(1, 0)
+
+
+class TestLayerOncePricing:
+    """``BatchStepTimer`` prices one decoder layer and repeats it; its
+    prices must equal the flat per-op sum exactly, not approximately."""
+
+    BATCHES = (1, 2, 3, 8, 17, 64)
+    CONTEXTS = (1, 65, 577, 1025)
+    PREFILLS = (1, 65, 577, 1025)
+
+    @staticmethod
+    def _cases():
+        dfx = CXLPNMDevice(spec=AcceleratorSpec(num_pes=0))
+        return {
+            "opt13b-fp16": (OPT_13B, PnmPerfModel(CXLPNMDevice()), 1,
+                            no_comm),
+            "opt13b-int8": (OPT_13B.with_dtype(1),
+                            PnmPerfModel(CXLPNMDevice()), 1, no_comm),
+            "opt30b-tp2": (OPT_30B, PnmPerfModel(CXLPNMDevice()), 2,
+                           lambda tokens: 3e-6 + 1e-9 * tokens),
+            "dfx-tree-only": (OPT_13B, PnmPerfModel(dfx), 1, no_comm),
+            "a100": (OPT_13B, GpuPerfModel(A100_40G), 1, no_comm),
+        }
+
+    @pytest.mark.parametrize("case", ["opt13b-fp16", "opt13b-int8",
+                                      "opt30b-tp2", "dfx-tree-only",
+                                      "a100"])
+    def test_prices_equal_flat_sum(self, case):
+        config, model, tp, comm = self._cases()[case]
+        timer = BatchStepTimer(config, model, tensor_parallel=tp,
+                               comm=comm, context_quantum=1)
+        for b in self.BATCHES:
+            for ctx in self.CONTEXTS:
+                ops = batched_gen_stage_ops(config, ctx, b, tp)
+                flat = sum(model.op_time(op) for op in ops) + comm(b)
+                assert timer.decode_step_s(b, ctx) == flat, (b, ctx)
+        for n in self.PREFILLS:
+            ops = sum_stage_ops(config, n, tp)
+            flat = sum(model.op_time(op) for op in ops) + comm(n)
+            assert timer.prefill_s(n) == flat, n
+
+    def test_composed_stages_match_hand_built_layers(self):
+        cfg = OPT_13B
+        assert cfg.num_layers == 40
+        shape = StageShape(batch_tokens=7, context_len=7)
+        hand = embedding_ops(cfg, shape)
+        for i in range(40):
+            hand.extend(decoder_layer_ops(cfg, shape,
+                                          layer_name=f"layer{i}"))
+        hand.extend(lm_head_ops(cfg, shape))
+        assert sum_stage_ops(cfg, 7) == hand
+
+        batched = batched_gen_stage_ops(cfg, 577, 8)
+        parts = batched_gen_stage_parts(cfg, 577, 8)
+        hand = list(parts.embed)
+        for i in range(40):
+            hand.extend(batched_gen_layer_ops(cfg, 577, 8,
+                                              layer_name=f"layer{i}"))
+        hand.extend(parts.head)
+        assert batched == hand
+
+    def test_model_value_semantics_survive_hoisting(self):
+        a = PnmPerfModel(CXLPNMDevice())
+        b = PnmPerfModel(CXLPNMDevice())
+        assert a == b and hash(a) == hash(b)
+        assert PnmPerfModel(CXLPNMDevice(
+            spec=AcceleratorSpec(num_pes=0))) != a
+        op = matmul_op("q", m=8, n=5120, k=5120, dtype_bytes=2)
+        for model in (a, GpuPerfModel(A100_40G)):
+            clone = pickle.loads(pickle.dumps(model))
+            assert clone == model
+            assert clone.op_time(op) == model.op_time(op)

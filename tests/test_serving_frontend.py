@@ -18,6 +18,7 @@ from repro.appliance import (
     TenantClass,
     poisson_arrivals,
 )
+from repro.appliance.continuous import _EventKernel, _Running
 from repro.errors import AdmissionError, ConfigurationError
 from repro.llm import (
     InferenceRequest,
@@ -32,6 +33,7 @@ from repro.llm import (
     write_trace,
     zipf_tenants,
 )
+from repro.obs.context import get_metrics, get_tracer
 
 CFG = tiny_config()
 
@@ -342,6 +344,60 @@ class TestPreemption:
                      classes=classes)
         assert stats.preemptions == 0
         assert all(c.preemptions == 0 for c in stats.completed)
+
+
+class TestPreemptionPlanning:
+    """Exact short-cuts in preemption planning and SLO projection."""
+
+    CLASSES = [TenantClass("low"), TenantClass("high", priority=1)]
+
+    def _kernel_with_full_device(self):
+        sched = ContinuousBatchScheduler(ConstStep(), CFG, _memory_for(2),
+                                         classes=self.CLASSES)
+        kernel = _EventKernel(sched, [], get_tracer(None),
+                              get_metrics(None), None, ())
+        dev = kernel.devs[0]
+        peak = peak_kv_bytes(CFG, 4, 6)
+        for slot in range(2):
+            dev.batch.append(_Running(
+                request=_req(slot, "low"), arrival_s=0.0, admitted_s=0.0,
+                kv_reserved=peak, slot=slot, cls_name="low", prio=0))
+            dev.kv_reserved += peak
+        return kernel, dev, peak
+
+    def test_lowest_tier_plans_nothing_without_scanning(self):
+        kernel, dev, peak = self._kernel_with_full_device()
+        assert kernel._plan_preemption(1, peak) == (dev, [dev.batch[1]])
+
+        class Unscannable:
+            def __iter__(self):
+                raise AssertionError("lowest tier scanned the devices")
+
+        kernel.devs = Unscannable()
+        assert kernel._plan_preemption(0, peak) == (None, [])
+        assert kernel._plan_preemption(-1, peak) == (None, [])
+
+    def test_preemptor_in_victims_slot_keeps_its_queued_prefill(self):
+        """L1 is preempted while its prefill runs in the unit [1, 2.5]
+        (prefill 1 s, then one 0.5 s decode of L0).  H0 takes L1's
+        freed slot, but L1 still sits in the unit's prefill list.  H1's
+        projected TTFT must count H0's queued prefill: the unit ends at
+        2.5, H0's prefill runs 1 s, and H1's own runs 1 s, so
+        2.5 + 1 + 1 - 1.3 = 3.2 s, which is over the 2.7 s target.  A
+        projection keyed on slots would drop H0 and admit H1 at 2.2 s.
+        """
+        classes = [TenantClass("low"),
+                   TenantClass("high", priority=1, ttft_target_s=2.7)]
+        reqs = [_req(0, "low"), _req(1, "low"),
+                _req(10, "high"), _req(11, "high")]
+        stats = _run(reqs, [0.0, 0.5, 1.2, 1.3], memory=_memory_for(2),
+                     classes=classes, slo_admission=True)
+        by_id = {c.request.request_id: c for c in stats.completed}
+        assert set(by_id) == {0, 1, 10}
+        assert by_id[1].preemptions == 1
+        assert by_id[10].first_token_s == pytest.approx(3.5)
+        assert [r.request.request_id for r in stats.rejected] == [11]
+        assert "projected TTFT 3.200s" in stats.rejected[0].reason
 
 
 # -- SLO admission and goodput --------------------------------------------
