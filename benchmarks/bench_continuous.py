@@ -32,11 +32,10 @@ from repro.accelerator import CXLPNMDevice
 from repro.appliance import (
     ContinuousBatchScheduler,
     RequestScheduler,
-    poisson_arrivals,
     timer_service,
 )
 from repro.llm import OPT_13B, InferenceRequest
-from repro.llm.workload import sampled_workload
+from repro.llm.workload import sampled_workload, steady_arrivals
 from repro.perf.analytical import BatchStepTimer, PnmPerfModel
 
 RESULTS = Path(__file__).resolve().parent / "results" / \
@@ -44,7 +43,7 @@ RESULTS = Path(__file__).resolve().parent / "results" / \
 
 REQUESTS = [InferenceRequest(64, 64, request_id=i) for i in range(24)]
 RATE_PER_S = 2.0  # ~4x one exclusive CXL-PNM instance's capacity
-ARRIVALS = poisson_arrivals(len(REQUESTS), RATE_PER_S, seed=3)
+ARRIVALS = steady_arrivals(len(REQUESTS), RATE_PER_S, seed=3)
 
 _DEVICE = CXLPNMDevice()
 _PERF = PnmPerfModel(_DEVICE)
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
     # exclusive-dispatch capacity on the mean request shape.
     service = timer_service(OPT_13B, _PERF)
     rate = 4.0 * args.devices / service(InferenceRequest(64, 256))
-    arrivals = poisson_arrivals(len(requests), rate, seed=args.seed)
+    arrivals = steady_arrivals(len(requests), rate, seed=args.seed)
 
     wall_s, stats = _serve(requests, arrivals, args.devices,
                            args.max_batch)

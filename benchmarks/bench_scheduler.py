@@ -9,15 +9,14 @@ percentiles and sustained throughput.
 from repro.accelerator import CXLPNMDevice
 from repro.appliance.scheduler import (
     RequestScheduler,
-    poisson_arrivals,
     timer_service,
 )
 from repro.gpu import A100_40G
-from repro.llm import OPT_66B, sampled_workload
+from repro.llm import OPT_66B, sampled_workload, steady_arrivals
 from repro.perf.analytical import GpuPerfModel, PnmPerfModel
 
 REQUESTS = sampled_workload(24, seed=11, mean_output=128, max_total=1024)
-ARRIVALS = poisson_arrivals(len(REQUESTS), rate_per_s=0.2, seed=3)
+ARRIVALS = steady_arrivals(len(REQUESTS), rate_per_s=0.2, seed=3)
 
 
 def _run_service(service, instances):

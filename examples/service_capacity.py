@@ -12,9 +12,9 @@ Run:  python examples/service_capacity.py
 """
 
 from repro.accelerator import CXLPNMDevice
-from repro.appliance import RequestScheduler, poisson_arrivals, timer_service
+from repro.appliance import RequestScheduler, timer_service
 from repro.gpu import A100_40G
-from repro.llm import OPT_66B, sampled_workload
+from repro.llm import OPT_66B, sampled_workload, steady_arrivals
 from repro.perf.analytical import GpuPerfModel, PnmPerfModel
 
 NUM_REQUESTS = 40
@@ -29,7 +29,7 @@ def sweep(label, service, instances):
                                 max_total=1024)
     scheduler = RequestScheduler(service, num_instances=instances)
     for rate in RATES:
-        arrivals = poisson_arrivals(NUM_REQUESTS, rate, seed=7)
+        arrivals = steady_arrivals(NUM_REQUESTS, rate, seed=7)
         stats = scheduler.run(requests, arrivals)
         print(f"{rate:11.2f} {stats.p50_latency_s:8.1f} "
               f"{stats.p95_latency_s:8.1f} {stats.mean_queue_wait_s:12.1f} "

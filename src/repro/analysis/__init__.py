@@ -12,8 +12,8 @@ Two prongs, one diagnostic model:
   (:mod:`repro.analysis.purity`, PUR3xx), dimensional/unit discipline
   inferred from naming conventions (:mod:`repro.analysis.units_lint`,
   UNIT4xx), determinism against order-sensitivity bug classes
-  (:mod:`repro.analysis.determinism`, DET5xx), and the cross-model
-  step-timer contract checker (:mod:`repro.analysis.contracts`,
+  (:mod:`repro.analysis.determinism`, DET5xx), and the ``as_dict``
+  key-set contract checker (:mod:`repro.analysis.contracts`,
   CON6xx), with deliberate exceptions recorded in a checked-in
   suppression baseline (:mod:`repro.analysis.baseline`).
 

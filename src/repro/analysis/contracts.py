@@ -1,158 +1,32 @@
-"""Cross-model contract checker for the two step-timer surfaces.
+"""Contract checker for the key sets that cross the model boundary.
 
-The continuous-batching engine accepts any ``BatchStepModel`` — in
-practice :class:`repro.perf.analytical.BatchStepTimer` (per-op cost
-sums) or :class:`repro.perf.simulator.SimulatedStepTimer` (scheduled
-instruction streams).  Their agreement is a headline validation result,
-and it rests on the two classes exposing the *same* unit-suffixed
-surface: the same method names (``prefill_s``, ``decode_step_s``,
-``decode_steps_s``), the same parameter names in the same order, the
-same declared return types.  Until now that parity was maintained only
-by convention; renaming one side's method would silently fall back to
-the engine's scalar path (or crash far from the cause).
+``as_dict()`` results in ``perf`` and ``appliance`` travel into
+exporters, benchmarks and CI asserts, so their key *set* is part of the
+contract between the simulator's layers and its consumers.
 
-This pass pins the contract statically:
-
-* **CON601** — a public unit-suffixed method (name carries a
-  :mod:`repro.analysis.units_lint` dimension suffix) exists on one
-  step timer but not the other.
-* **CON602** — a shared unit-suffixed method's signature diverges:
-  different parameter names/order, or a different declared return
-  annotation.
 * **CON603** — an ``as_dict()`` key is not a string literal (in
-  ``perf`` and ``appliance``, the modules whose dicts cross the
-  model boundary into exporters, benchmarks, and CI asserts).  A
-  computed key can change spelling or set membership between runs;
-  the key *set* is part of the cross-model contract.
+  ``perf`` and ``appliance``).  A computed key can change spelling or
+  set membership between runs; a literal cannot.
 
 ``CON600`` reports inputs that do not parse.  Entry points mirror the
-sibling lints: :func:`compare_step_timers` for two sources in tests,
-:func:`check_tree` for the shipped pairing over a source tree.
+sibling lints: :func:`check_as_dict_keys` for one source in tests,
+:func:`check_tree` over a source tree.
+
+(The step-model surface itself needs no lint: both step timers inherit
+``prefill_s`` / ``decode_step_s`` / ``decode_steps_s`` from one
+:class:`repro.perf.analytical.StepTimer`.)
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .diagnostics import AnalysisReport, Diagnostic, Severity
-from .units_lint import dimension_of_name
-
-#: The shipped contract: (relative path, class name) pairs that must
-#: expose identical unit-suffixed surfaces.
-STEP_TIMER_CONTRACT = (
-    ("perf/analytical.py", "BatchStepTimer"),
-    ("perf/simulator.py", "SimulatedStepTimer"),
-)
 
 #: Packages whose ``as_dict`` key sets are contract surface (CON603).
 AS_DICT_SCOPED = ("perf", "appliance")
-
-
-def _annotation_text(node: Optional[ast.AST]) -> Optional[str]:
-    if node is None:
-        return None
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        return "<annotation>"
-
-
-class MethodSurface:
-    """One method's externally visible shape.
-
-    Attributes:
-        name: Method name.
-        params: Parameter names in order, ``self`` excluded.
-        returns: Declared return annotation text, or ``None``.
-        lineno: Definition line.
-    """
-
-    def __init__(self, name: str, params: Tuple[str, ...],
-                 returns: Optional[str], lineno: int):
-        self.name = name
-        self.params = params
-        self.returns = returns
-        self.lineno = lineno
-
-    def describe(self) -> str:
-        ret = f" -> {self.returns}" if self.returns else ""
-        return f"{self.name}({', '.join(self.params)}){ret}"
-
-
-def class_surface(source: str, class_name: str
-                  ) -> Dict[str, MethodSurface]:
-    """Public unit-suffixed methods of ``class_name`` in ``source``.
-
-    Raises ``ValueError`` when the class is absent — callers decide
-    whether a missing class is itself a finding.
-    """
-    tree = ast.parse(source)
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            break
-    else:
-        raise ValueError(f"class {class_name} not found")
-    surface: Dict[str, MethodSurface] = {}
-    for item in node.body:
-        if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if item.name.startswith("_"):
-            continue
-        if dimension_of_name(item.name) is None:
-            continue
-        params = tuple(arg.arg for arg in item.args.args
-                       if arg.arg != "self")
-        surface[item.name] = MethodSurface(
-            item.name, params, _annotation_text(item.returns),
-            item.lineno)
-    return surface
-
-
-def compare_step_timers(source_a: str, class_a: str, relpath_a: str,
-                        source_b: str, class_b: str, relpath_b: str
-                        ) -> List[Diagnostic]:
-    """CON601/CON602 findings between two step-timer classes."""
-    diags: List[Diagnostic] = []
-
-    def _parse_error(relpath: str, exc: Exception) -> Diagnostic:
-        line = getattr(exc, "lineno", 0) or 0
-        return Diagnostic("CON600", Severity.ERROR,
-                          f"cannot read contract surface: {exc}",
-                          location=f"{relpath}:{line}", source=relpath)
-
-    try:
-        surface_a = class_surface(source_a, class_a)
-    except (SyntaxError, ValueError) as exc:
-        return [_parse_error(relpath_a, exc)]
-    try:
-        surface_b = class_surface(source_b, class_b)
-    except (SyntaxError, ValueError) as exc:
-        return [_parse_error(relpath_b, exc)]
-
-    sides = ((class_a, relpath_a, surface_a, class_b, surface_b),
-             (class_b, relpath_b, surface_b, class_a, surface_a))
-    for name, relpath, mine, other_cls, theirs in sides:
-        for method in sorted(set(mine) - set(theirs)):
-            diags.append(Diagnostic(
-                "CON601", Severity.ERROR,
-                f"{name}.{method} has no counterpart on {other_cls}: "
-                f"the engine's feature detection will silently "
-                f"diverge between step models",
-                location=f"{relpath}:{mine[method].lineno}",
-                source=relpath))
-    for method in sorted(set(surface_a) & set(surface_b)):
-        mine, theirs = surface_a[method], surface_b[method]
-        if mine.params != theirs.params or mine.returns != theirs.returns:
-            diags.append(Diagnostic(
-                "CON602", Severity.ERROR,
-                f"signature mismatch for {method}: "
-                f"{class_a}.{mine.describe()} vs "
-                f"{class_b}.{theirs.describe()}",
-                location=f"{relpath_a}:{mine.lineno}",
-                source=relpath_a))
-    return diags
 
 
 # -- CON603: as_dict keys must be string literals -------------------------
@@ -213,29 +87,15 @@ def check_as_dict_keys(source: str, relpath: str) -> List[Diagnostic]:
 def rules_for(relpath: str) -> Tuple[str, ...]:
     """CON rule codes that apply to a file at ``relpath``."""
     rel = relpath.replace("\\", "/")
-    rules: List[str] = []
-    if any(rel == path for path, _ in STEP_TIMER_CONTRACT):
-        rules.extend(("CON601", "CON602"))
     if rel.split("/", 1)[0] in AS_DICT_SCOPED:
-        rules.append("CON603")
-    return tuple(rules)
+        return ("CON603",)
+    return ()
 
 
 def check_tree(root: Path) -> AnalysisReport:
-    """Run the shipped contracts over a source tree.
-
-    The step-timer pairing (:data:`STEP_TIMER_CONTRACT`) is checked
-    when both files exist; ``as_dict`` key literalness is checked for
-    every file in the scoped packages.
-    """
+    """Check ``as_dict`` key literalness in every scoped file of a tree."""
     root = Path(root)
     diags: List[Diagnostic] = []
-    (path_a, class_a), (path_b, class_b) = STEP_TIMER_CONTRACT
-    file_a, file_b = root / path_a, root / path_b
-    if file_a.exists() and file_b.exists():
-        diags.extend(compare_step_timers(
-            file_a.read_text(encoding="utf-8"), class_a, path_a,
-            file_b.read_text(encoding="utf-8"), class_b, path_b))
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         if rel.split("/", 1)[0] not in AS_DICT_SCOPED:

@@ -1,8 +1,8 @@
 """The full source-tree static-analysis suite, as one entry point.
 
 Composes the four tree passes — simulation purity (PUR3xx), unit
-discipline (UNIT4xx), determinism (DET5xx), and the cross-model
-contract checker (CON6xx) — into a single report, then applies the
+discipline (UNIT4xx), determinism (DET5xx), and the ``as_dict``
+key-set contract checker (CON6xx) — into a single report, then applies the
 checked-in suppression baseline (:mod:`repro.analysis.baseline`).
 This is what ``repro lint``, ``tools/static_checks.py``, ``make
 lint``, and the blocking CI job all run, so "clean" means the same

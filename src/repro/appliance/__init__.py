@@ -17,7 +17,6 @@ from repro.appliance.scheduler import (
     RejectedRequest,
     RequestScheduler,
     ServiceStats,
-    poisson_arrivals,
     timer_service,
 )
 from repro.appliance.comm import CxlCommModel, GpuCommModel
@@ -36,7 +35,6 @@ __all__ = [
     "RequestScheduler",
     "ServiceStats",
     "TenantClass",
-    "poisson_arrivals",
     "simulated_step_model",
     "timer_service",
     "CxlCommModel",

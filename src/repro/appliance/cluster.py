@@ -72,10 +72,12 @@ class GpuAppliance:
         replica timelines and returns its
         :class:`~repro.appliance.continuous.ContinuousBatchStats`.
         Pass ``step`` to override the default analytical
-        :class:`~repro.perf.analytical.BatchStepTimer`; ``classes``
-        (a sequence of :class:`~repro.appliance.continuous.
-        TenantClass`) and ``slo_admission`` configure the multi-tenant
-        front end.
+        :class:`~repro.perf.analytical.BatchStepTimer` with any
+        :class:`~repro.appliance.continuous.BatchStepModel` (a
+        :class:`~repro.perf.analytical.StepTimer` subclass gets the
+        vectorized macro-step path); ``classes`` (a sequence of
+        :class:`~repro.appliance.continuous.TenantClass`) and
+        ``slo_admission`` configure the multi-tenant front end.
         """
         from repro.appliance.continuous import ContinuousBatchScheduler
         from repro.perf.analytical import BatchStepTimer
@@ -136,7 +138,8 @@ class PnmAppliance:
         Pass ``step`` to override the default analytical
         :class:`~repro.perf.analytical.BatchStepTimer` (e.g. the
         instruction-level
-        :func:`~repro.appliance.continuous.simulated_step_model`);
+        :func:`~repro.appliance.continuous.simulated_step_model`; both
+        share one :class:`~repro.perf.analytical.StepTimer` surface);
         ``classes`` (a sequence of :class:`~repro.appliance.continuous.
         TenantClass`) and ``slo_admission`` configure the multi-tenant
         front end.

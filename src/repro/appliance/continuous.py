@@ -111,9 +111,11 @@ class BatchStepModel(Protocol):
 
     A step model *may* additionally provide
     ``decode_steps_s(batch, context_lens) -> ndarray`` — a vectorized
-    cohort evaluation used by the event kernel's macro-steps (see
-    :class:`repro.perf.analytical.BatchStepTimer`).  Models without it
-    fall back to one ``decode_step_s`` call per step.
+    cohort evaluation used by the event kernel's macro-steps.  Both
+    shipped models (:class:`repro.perf.analytical.BatchStepTimer` and
+    :class:`repro.perf.simulator.SimulatedStepTimer`) inherit that
+    surface from one :class:`repro.perf.analytical.StepTimer`.  Models
+    without it fall back to one ``decode_step_s`` call per step.
     """
 
     def prefill_s(self, input_len: int) -> float:
@@ -126,7 +128,6 @@ class BatchStepModel(Protocol):
 
 
 def simulated_step_model(config: LLMConfig, device=None,
-                         context_quantum: int = 32,
                          quantize: Optional[str] = None) -> BatchStepModel:
     """A :class:`BatchStepModel` priced by the instruction-level simulator.
 
@@ -141,7 +142,6 @@ def simulated_step_model(config: LLMConfig, device=None,
         config: The model.
         device: A :class:`~repro.accelerator.device.CXLPNMDevice`
             (default: the paper's).
-        context_quantum: Context quantization step for memoization.
         quantize: ``"int8"`` prices the quantized weight path (halved
             weight-stream bytes on the bandwidth-bound decode steps).
     """
@@ -149,7 +149,6 @@ def simulated_step_model(config: LLMConfig, device=None,
     simulator = AcceleratorSimulator(device) if device is not None \
         else AcceleratorSimulator()
     return SimulatedStepTimer(config, simulator=simulator,
-                              context_quantum=context_quantum,
                               quantize=quantize)
 
 
@@ -651,7 +650,7 @@ class ContinuousBatchScheduler:
         """Serve ``requests`` with continuous batching; returns stats.
 
         ``arrival_times`` defaults to all-at-once; pass
-        :func:`~repro.appliance.scheduler.poisson_arrivals` for
+        :func:`~repro.llm.workload.steady_arrivals` for
         open-loop load.  FCFS is preserved: admission considers only the
         head of the waiting queue (head-of-line blocking included).
         """

@@ -235,7 +235,8 @@ class RequestScheduler:
         """Serve ``requests`` in arrival order; returns the statistics.
 
         ``arrival_times`` defaults to all-at-once (a closed batch); pass
-        Poisson arrivals from :func:`poisson_arrivals` for open-loop load.
+        Poisson arrivals from
+        :func:`~repro.llm.workload.steady_arrivals` for open-loop load.
         """
         if not requests:
             raise ConfigurationError("no requests to schedule")
@@ -315,13 +316,3 @@ class RequestScheduler:
         for _t, delta in events:
             depth += delta
             gauge.set(depth)
-
-
-def poisson_arrivals(num_requests: int, rate_per_s: float,
-                     seed: int = 0) -> List[float]:
-    """Cumulative Poisson arrival times at ``rate_per_s``."""
-    if num_requests <= 0 or rate_per_s <= 0:
-        raise ConfigurationError("need positive request count and rate")
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(1.0 / rate_per_s, size=num_requests)
-    return list(np.cumsum(gaps))

@@ -34,7 +34,7 @@ Commands:
   --no-baseline] [--json] [--errors-only]`` — run the source-tree
   static-analysis suite (:mod:`repro.analysis.suite`): simulation
   purity (PUR3xx), unit discipline (UNIT4xx), determinism (DET5xx),
-  and the cross-model contract checker (CON6xx), honoring the
+  and the ``as_dict`` key-set contract checker (CON6xx), honoring the
   checked-in suppression baseline.  Exit codes match
   ``lint-program``: 0 clean, 2 diagnostics (or stale baseline
   entries), 1 tool failure.

@@ -37,7 +37,6 @@ from repro.appliance.continuous import (
 from repro.appliance.scheduler import (
     RequestScheduler,
     ServiceStats,
-    poisson_arrivals,
     timer_service,
 )
 from repro.experiments.report import ExperimentResult
@@ -45,7 +44,11 @@ from repro.gpu import A100_40G
 from repro.llm.batching import max_batch_for_memory
 from repro.llm.config import OPT_13B
 from repro.llm.kvcache import peak_kv_bytes
-from repro.llm.workload import PAPER_INPUT_TOKENS, InferenceRequest
+from repro.llm.workload import (
+    PAPER_INPUT_TOKENS,
+    InferenceRequest,
+    steady_arrivals,
+)
 from repro.perf.analytical import (
     BatchStepTimer,
     GpuPerfModel,
@@ -77,7 +80,7 @@ def compare_device(perf_model, memory_bytes: int,
     requests = _workload()
     service = timer_service(MODEL, perf_model)
     rate = OVERLOAD_FACTOR / service(requests[0])
-    arrivals = poisson_arrivals(NUM_REQUESTS, rate, seed=ARRIVAL_SEED)
+    arrivals = steady_arrivals(NUM_REQUESTS, rate, seed=ARRIVAL_SEED)
     fcfs = RequestScheduler(service, num_instances=1, config=MODEL,
                             memory_bytes=memory_bytes
                             ).run(requests, arrivals)
@@ -146,7 +149,7 @@ def run() -> ExperimentResult:
     requests = _workload()
     service = timer_service(MODEL, PnmPerfModel(pnm_device))
     rate = OVERLOAD_FACTOR / service(requests[0])
-    arrivals = poisson_arrivals(NUM_REQUESTS, 4 * rate, seed=ARRIVAL_SEED)
+    arrivals = steady_arrivals(NUM_REQUESTS, 4 * rate, seed=ARRIVAL_SEED)
     dtype_runs = {}
     for label, cfg in (("fp16", MODEL), ("int8", MODEL.with_dtype(1))):
         step = BatchStepTimer(cfg, PnmPerfModel(pnm_device))

@@ -54,12 +54,12 @@ from repro.llm.workload import (
     arrivals_for_shape,
     multi_tenant_workload,
     read_trace,
+    steady_arrivals,
     write_trace,
 )
 from repro.obs.metrics import NULL_REGISTRY
 from repro.appliance.scheduler import (
     RequestScheduler,
-    poisson_arrivals,
     timer_service,
 )
 from repro.perf.analytical import (
@@ -203,7 +203,7 @@ def run(num_requests: int = NUM_REQUESTS,
     scheduler = RequestScheduler(timer_service(OPT_13B, pnm),
                                  num_instances=num_instances)
     stats = scheduler.run(requests,
-                          poisson_arrivals(num_requests, rate, seed=0))
+                          steady_arrivals(num_requests, rate, seed=0))
 
     # CXL layer: host bandwidth while PNM tasks of one gen-stage length
     # hammer the same memory.

@@ -143,10 +143,9 @@ def run_chaos(plan: FaultPlan,
     # Imports live here, not at module top: see the module docstring.
     from repro.accelerator.device import CXLPNMDevice
     from repro.appliance.continuous import ContinuousBatchScheduler
-    from repro.appliance.scheduler import poisson_arrivals
     from repro.errors import DeviceLostError, UncorrectableMemoryError
     from repro.llm import get_model, random_weights, sampled_workload, \
-        tiny_config
+        steady_arrivals, tiny_config
     from repro.obs import observe
     from repro.perf.analytical import BatchStepTimer, PnmPerfModel
     from repro.runtime.session import InferenceSession
@@ -182,9 +181,9 @@ def run_chaos(plan: FaultPlan,
                 num_devices=config.num_devices)
             requests = sampled_workload(config.num_requests,
                                         seed=plan.seed)
-            arrivals = poisson_arrivals(len(requests),
-                                        config.arrival_rate_per_s,
-                                        seed=plan.seed)
+            arrivals = steady_arrivals(len(requests),
+                                       config.arrival_rate_per_s,
+                                       seed=plan.seed)
             stats = engine.run(requests, arrivals)
 
         serving = stats.as_dict()

@@ -314,44 +314,43 @@ class InferenceTimer:
 
 
 @dataclass
-class BatchStepTimer:
-    """Per-iteration costs for the continuous-batching scheduler.
+class StepTimer:
+    """Memoizing per-iteration costs for the continuous-batching scheduler.
 
     One *decode step* runs a batched gen stage — each running request
-    contributes one token row, the weights stream once — so its cost
-    comes from :func:`~repro.llm.batching.batched_gen_stage_parts`; one
-    *prefill* is the plain sum stage of a newly admitted request.
+    contributes one token row, the weights stream once; one *prefill* is
+    the plain sum stage of a newly admitted request.  This class owns
+    the step-model surface the engine calls (``prefill_s``,
+    ``decode_step_s``, ``decode_steps_s``): validation, context
+    quantization and memoization.  A subclass prices one point through
+    two hooks, ``_price_prefill(input_len)`` and ``_price_decode(batch,
+    context_len)``, and declares the ``context_quantum`` field.
 
     Decode cost is affine in the attention span, so the scheduler may
     quote a step at the batch's mean context.  Shapes repeat across
     thousands of simulated iterations; results are memoized after
-    quantizing the context up to ``context_quantum`` (set it to 1 for
-    exact per-context costing).
+    quantizing the context up to ``context_quantum`` (1 prices every
+    context exactly), never past ``max(context, config.max_seq_len)``.
 
     Attributes:
         config: The model.
-        model: Device performance model (one device or one tensor-
-            parallel shard).
-        tensor_parallel: Ways the model is split.
-        comm: Per-step communication model (batch tokens -> seconds).
-        context_quantum: Context quantization step for memoization.
     """
 
     config: LLMConfig
-    model: DevicePerfModel
-    tensor_parallel: int = 1
-    comm: CommModel = no_comm
-    context_quantum: int = 32
     _prefill_cache: Dict[int, float] = field(
-        default_factory=dict, repr=False)
+        default_factory=dict, init=False, repr=False)
     _decode_cache: Dict[Tuple[int, int], float] = field(
-        default_factory=dict, repr=False)
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.tensor_parallel < 1:
-            raise ConfigurationError("tensor_parallel must be >= 1")
         if self.context_quantum < 1:
             raise ConfigurationError("context_quantum must be >= 1")
+
+    def _price_prefill(self, input_len: int) -> float:
+        raise NotImplementedError
+
+    def _price_decode(self, batch: int, context_len: int) -> float:
+        raise NotImplementedError
 
     def prefill_s(self, input_len: int) -> float:
         """Seconds to run one request's sum stage (emits its first token)."""
@@ -359,9 +358,7 @@ class BatchStepTimer:
             raise ConfigurationError("input_len must be >= 1")
         cached = self._prefill_cache.get(input_len)
         if cached is None:
-            parts = sum_stage_parts(self.config, input_len,
-                                    self.tensor_parallel)
-            cached = stage_time_s(parts, self.model) + self.comm(input_len)
+            cached = self._price_prefill(input_len)
             self._prefill_cache[input_len] = cached
         return cached
 
@@ -379,9 +376,7 @@ class BatchStepTimer:
         key = (batch, self._quantize(context_len))
         cached = self._decode_cache.get(key)
         if cached is None:
-            parts = batched_gen_stage_parts(self.config, key[1], batch,
-                                            self.tensor_parallel)
-            cached = stage_time_s(parts, self.model) + self.comm(batch)
+            cached = self._price_decode(batch, key[1])
             self._decode_cache[key] = cached
         return cached
 
@@ -389,23 +384,54 @@ class BatchStepTimer:
                        context_lens: Sequence[int]) -> np.ndarray:
         """Seconds for a cohort of decode steps at one batch size.
 
-        Vectorized companion to :meth:`decode_step_s` for the event
-        kernel's macro-steps: quantization happens in one numpy pass,
-        the underlying cost model is consulted once per *unique*
-        quantized context (at most ``ceil((n - 1) / context_quantum) +
-        1`` times for a consecutive run of ``n`` contexts no longer than
-        ``config.max_seq_len``), and each returned element is
-        bit-identical to the scalar call.
+        Cohort companion to :meth:`decode_step_s` for the event
+        kernel's macro-steps: :meth:`decode_step_s` is consulted once per
+        *unique* quantized context, in ascending order (at most
+        ``ceil((n - 1) / context_quantum) + 1`` times for a consecutive
+        run of ``n`` contexts no longer than ``config.max_seq_len``), and
+        each returned element is bit-identical to the scalar call.
         """
-        ctxs = np.asarray(context_lens, dtype=np.int64)
-        if ctxs.size == 0:
-            return np.empty(0, dtype=float)
-        if batch < 1 or int(ctxs.min()) < 1:
+        ctxs = np.asarray(context_lens, dtype=np.int64).tolist()
+        if ctxs and (batch < 1 or min(ctxs) < 1):
             raise ConfigurationError("batch and context must be >= 1")
-        q = self.context_quantum
-        quantized = np.minimum(-(ctxs // -q) * q,
-                               np.maximum(ctxs, self.config.max_seq_len))
-        uniques, inverse = np.unique(quantized, return_inverse=True)
-        costs = np.array([self.decode_step_s(batch, int(u))
-                          for u in uniques], dtype=float)
-        return costs[inverse]
+        keys = [self._quantize(c) for c in ctxs]
+        costs = {k: self.decode_step_s(batch, k) for k in sorted(set(keys))}
+        return np.array([costs[k] for k in keys], dtype=float)
+
+
+@dataclass
+class BatchStepTimer(StepTimer):
+    """Step costs from the analytical per-op model.
+
+    A decode step sums :func:`~repro.llm.batching.batched_gen_stage_parts`
+    and a prefill :func:`~repro.llm.graph.sum_stage_parts`, each priced
+    layer-once by :func:`stage_time_s`, plus the per-step communication
+    of a tensor-parallel group.
+
+    Attributes:
+        config: The model.
+        model: Device performance model (one device or one tensor-
+            parallel shard).
+        tensor_parallel: Ways the model is split.
+        comm: Per-step communication model (batch tokens -> seconds).
+        context_quantum: Context quantization step for memoization.
+    """
+
+    model: DevicePerfModel
+    tensor_parallel: int = 1
+    comm: CommModel = no_comm
+    context_quantum: int = 32
+
+    def __post_init__(self) -> None:
+        if self.tensor_parallel < 1:
+            raise ConfigurationError("tensor_parallel must be >= 1")
+        super().__post_init__()
+
+    def _price_prefill(self, input_len: int) -> float:
+        parts = sum_stage_parts(self.config, input_len, self.tensor_parallel)
+        return stage_time_s(parts, self.model) + self.comm(input_len)
+
+    def _price_decode(self, batch: int, context_len: int) -> float:
+        parts = batched_gen_stage_parts(self.config, context_len, batch,
+                                        self.tensor_parallel)
+        return stage_time_s(parts, self.model) + self.comm(batch)

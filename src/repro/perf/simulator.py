@@ -18,15 +18,13 @@ analog: tests assert agreement with the independent analytical model of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.accelerator import isa
 from repro.accelerator.device import CXLPNMDevice
-from repro.errors import ConfigurationError, SimulationError
-from repro.llm.config import LLMConfig
+from repro.errors import SimulationError
 from repro.obs.context import get_metrics, get_tracer
+from repro.perf.analytical import StepTimer
 import repro.perf.calibration as cal
 
 
@@ -321,7 +319,7 @@ class AcceleratorSimulator:
 
 
 @dataclass
-class SimulatedStepTimer:
+class SimulatedStepTimer(StepTimer):
     """Continuous-batching step costs from the instruction-level simulator.
 
     A drop-in :class:`~repro.appliance.continuous.BatchStepModel`: where
@@ -330,9 +328,10 @@ class SimulatedStepTimer:
     :func:`~repro.accelerator.compiler.timing_program` for prefill and
     :func:`~repro.accelerator.compiler.batched_timing_program` for a
     batched decode step — so unit overlap and the shared memory channel
-    are modelled exactly as in stage simulations.  Contexts are
-    quantized up to ``context_quantum`` before memoization, mirroring
-    the analytical timer.  Single device only (no tensor parallelism).
+    are modelled exactly as in stage simulations.  Validation, context
+    quantization and memoization come from
+    :class:`~repro.perf.analytical.StepTimer`, shared with the analytical
+    timer.  Single device only (no tensor parallelism).
 
     Attributes:
         config: The model.
@@ -344,76 +343,24 @@ class SimulatedStepTimer:
             times are the ones the quantizing compiler emits.
     """
 
-    config: LLMConfig
     simulator: Optional[AcceleratorSimulator] = None
     context_quantum: int = 32
     quantize: Optional[str] = None
-    _prefill_cache: Dict[int, float] = field(
-        default_factory=dict, repr=False)
-    _decode_cache: Dict[Tuple[int, int], float] = field(
-        default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.context_quantum < 1:
-            raise ConfigurationError("context_quantum must be >= 1")
+        super().__post_init__()
         if self.simulator is None:
             self.simulator = AcceleratorSimulator()
 
-    def prefill_s(self, input_len: int) -> float:
-        """Seconds to run one request's sum stage (emits its first token)."""
-        if input_len < 1:
-            raise ConfigurationError("input_len must be >= 1")
-        cached = self._prefill_cache.get(input_len)
-        if cached is None:
-            from repro.accelerator.compiler import timing_program
-            program = timing_program(self.config, input_len, ctx_prev=0,
-                                     quantize=self.quantize)
-            cached = self.simulator.run(program).total_time_s
-            self._prefill_cache[input_len] = cached
-        return cached
+    def _price_prefill(self, input_len: int) -> float:
+        from repro.accelerator.compiler import timing_program
+        program = timing_program(self.config, input_len, ctx_prev=0,
+                                 quantize=self.quantize)
+        return self.simulator.run(program).total_time_s
 
-    def _quantize(self, context_len: int) -> int:
-        q = self.context_quantum
-        quantized = ((context_len + q - 1) // q) * q
-        return min(quantized, max(context_len, self.config.max_seq_len))
-
-    def decode_step_s(self, batch: int, context_len: int) -> float:
-        """Seconds for one batched gen step at the given attention span."""
-        if batch < 1 or context_len < 1:
-            raise ConfigurationError("batch and context must be >= 1")
-        key = (batch, self._quantize(context_len))
-        cached = self._decode_cache.get(key)
-        if cached is None:
-            from repro.accelerator.compiler import batched_timing_program
-            program = batched_timing_program(self.config, batch,
-                                             ctx_prev=key[1] - 1,
-                                             quantize=self.quantize)
-            cached = self.simulator.run(program).total_time_s
-            self._decode_cache[key] = cached
-        return cached
-
-    def decode_steps_s(self, batch: int,
-                       context_lens: Sequence[int]) -> np.ndarray:
-        """Seconds for a cohort of decode steps at one batch size.
-
-        Vectorized companion to :meth:`decode_step_s` for the event
-        kernel's macro-steps: contexts are quantized in one numpy
-        pass and the simulator prices each *unique* quantized context
-        once — at most ``ceil((n - 1) / context_quantum) + 1`` times
-        for a consecutive run of ``n`` contexts no longer than
-        ``config.max_seq_len`` (the simulator's own ``timing_key``
-        duration cache makes repeats across calls cheap too).  Each
-        element is bit-identical to the scalar call.
-        """
-        ctxs = np.asarray(context_lens, dtype=np.int64)
-        if ctxs.size == 0:
-            return np.empty(0, dtype=float)
-        if batch < 1 or int(ctxs.min()) < 1:
-            raise ConfigurationError("batch and context must be >= 1")
-        q = self.context_quantum
-        quantized = np.minimum(-(ctxs // -q) * q,
-                               np.maximum(ctxs, self.config.max_seq_len))
-        uniques, inverse = np.unique(quantized, return_inverse=True)
-        costs = np.array([self.decode_step_s(batch, int(u))
-                          for u in uniques], dtype=float)
-        return costs[inverse]
+    def _price_decode(self, batch: int, context_len: int) -> float:
+        from repro.accelerator.compiler import batched_timing_program
+        program = batched_timing_program(self.config, batch,
+                                         ctx_prev=context_len - 1,
+                                         quantize=self.quantize)
+        return self.simulator.run(program).total_time_s

@@ -6,12 +6,17 @@ from hypothesis import given, settings, strategies as st
 from repro.appliance.scheduler import (
     RequestScheduler,
     ServiceStats,
-    poisson_arrivals,
     timer_service,
 )
 from repro.accelerator import CXLPNMDevice
 from repro.errors import ConfigurationError
-from repro.llm import InferenceRequest, OPT_1_3B, sampled_workload, tiny_config
+from repro.llm import (
+    InferenceRequest,
+    OPT_1_3B,
+    sampled_workload,
+    steady_arrivals,
+    tiny_config,
+)
 from repro.obs import MetricsRegistry
 from repro.perf.analytical import PnmPerfModel
 
@@ -151,7 +156,7 @@ class TestQueueDepthGauge:
                                      num_instances=instances,
                                      metrics=metrics)
         requests = [InferenceRequest(1, 1, request_id=i) for i in range(n)]
-        scheduler.run(requests, poisson_arrivals(n, rate, seed=seed))
+        scheduler.run(requests, steady_arrivals(n, rate, seed=seed))
         gauge = metrics.gauge("scheduler.queue_depth")
         assert gauge.min >= 0
         assert gauge.max <= n
@@ -177,7 +182,7 @@ class TestTimerService:
         requests = sampled_workload(12, seed=5, mean_output=32,
                                     max_total=512)
         scheduler = RequestScheduler(service, num_instances=4)
-        arrivals = poisson_arrivals(len(requests), rate_per_s=50.0)
+        arrivals = steady_arrivals(len(requests), rate_per_s=50.0)
         stats = scheduler.run(requests, arrivals)
         assert len(stats.completed) == 12
         assert stats.throughput_tokens_per_s > 0
@@ -185,17 +190,17 @@ class TestTimerService:
 
 class TestPoissonArrivals:
     def test_monotone_and_deterministic(self):
-        a = poisson_arrivals(50, 10.0, seed=1)
-        b = poisson_arrivals(50, 10.0, seed=1)
+        a = steady_arrivals(50, 10.0, seed=1)
+        b = steady_arrivals(50, 10.0, seed=1)
         assert a == b
         assert all(x < y for x, y in zip(a, a[1:]))
 
     def test_rate_roughly_respected(self):
-        arrivals = poisson_arrivals(2000, 100.0, seed=2)
+        arrivals = steady_arrivals(2000, 100.0, seed=2)
         assert arrivals[-1] == pytest.approx(20.0, rel=0.2)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            poisson_arrivals(0, 1.0)
+            steady_arrivals(0, 1.0)
         with pytest.raises(ConfigurationError):
-            poisson_arrivals(5, 0.0)
+            steady_arrivals(5, 0.0)

@@ -1,24 +1,26 @@
 """Continuous-batching engine: admission control, timelines, obs."""
 
+import numpy as np
 import pytest
 
 from repro.accelerator import CXLPNMDevice
 from repro.appliance import (
     ContinuousBatchScheduler,
     RequestScheduler,
-    poisson_arrivals,
     timer_service,
 )
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.llm import (
     OPT_1_3B,
     InferenceRequest,
     max_batch_for_memory,
     peak_kv_bytes,
+    steady_arrivals,
     tiny_config,
 )
 from repro.obs import MetricsRegistry, Tracer, observe
-from repro.perf.analytical import BatchStepTimer, PnmPerfModel
+from repro.perf.analytical import BatchStepTimer, PnmPerfModel, StepTimer
+from repro.perf.simulator import SimulatedStepTimer
 
 
 class ConstStep:
@@ -86,7 +88,7 @@ class TestTimeline:
         assert late.queue_wait_s == 0.0
 
     def test_deterministic(self):
-        arrivals = poisson_arrivals(6, 1.0, seed=4)
+        arrivals = steady_arrivals(6, 1.0, seed=4)
         runs = []
         for _ in range(2):
             engine = ContinuousBatchScheduler(ConstStep(), CFG,
@@ -170,7 +172,7 @@ class TestAnalyticalService:
                     for i in range(8)]
         service = timer_service(OPT_1_3B, perf)
         rate = 4.0 / service(requests[0])
-        arrivals = poisson_arrivals(len(requests), rate, seed=1)
+        arrivals = steady_arrivals(len(requests), rate, seed=1)
         fcfs = RequestScheduler(service, num_instances=1,
                                 config=OPT_1_3B,
                                 memory_bytes=device.memory_capacity
@@ -191,15 +193,90 @@ class TestAnalyticalService:
             assert coarse.decode_step_s(4, ctx) \
                 >= exact.decode_step_s(4, ctx) * 0.999
 
-    def test_step_timer_validation(self):
-        perf = PnmPerfModel(CXLPNMDevice())
+
+def _analytical_timer(**kwargs):
+    return BatchStepTimer(OPT_1_3B, PnmPerfModel(CXLPNMDevice()), **kwargs)
+
+
+def _simulated_timer(**kwargs):
+    return SimulatedStepTimer(tiny_config(), **kwargs)
+
+
+@pytest.fixture(params=[_analytical_timer, _simulated_timer],
+                ids=["analytical", "simulated"])
+def make_timer(request):
+    return request.param
+
+
+class TestStepTimerContract:
+    """The step-model surface both shipped timers inherit from StepTimer."""
+
+    def test_one_surface(self, make_timer):
+        timer = make_timer()
+        assert isinstance(timer, StepTimer)
+        for name in ("prefill_s", "decode_step_s", "decode_steps_s"):
+            assert getattr(type(timer), name) is getattr(StepTimer, name)
+
+    @pytest.mark.parametrize("q", [32, 24])
+    def test_vector_matches_scalar(self, make_timer, q):
+        # 24 does not divide max_seq_len, so the last quantum is clamped.
+        timer = make_timer(context_quantum=q)
+        cap = timer.config.max_seq_len
+        # Inside one quantum, across quanta, and up to max_seq_len.
+        ctxs = [c for c in (1, 2, q - 1, q, q + 1, 2 * q + 5, cap - 1, cap)
+                if c <= cap]
+        for batch in (1, 3):
+            vector = timer.decode_steps_s(batch, np.array(ctxs))
+            fresh = make_timer(context_quantum=q)
+            assert vector.tolist() \
+                == [fresh.decode_step_s(batch, c) for c in ctxs]
+            assert timer.decode_steps_s(batch, ctxs).tolist() \
+                == vector.tolist()
+
+    def test_past_max_seq_len(self, make_timer):
+        """Priced exactly past the position budget, or refused by both."""
+        timer, fresh = make_timer(), make_timer()
+        cap = timer.config.max_seq_len
+        ctxs = [cap + 1, cap + 2, cap + 35]
+        try:
+            scalar = [fresh.decode_step_s(2, c) for c in ctxs]
+        except CapacityError:  # the compiler refuses such programs
+            with pytest.raises(CapacityError):
+                timer.decode_steps_s(2, ctxs)
+            return
+        assert timer.decode_steps_s(2, ctxs).tolist() == scalar
+        assert len(timer._decode_cache) == len(ctxs)
+
+    def test_empty_cohort(self, make_timer):
+        out = make_timer().decode_steps_s(1, [])
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (0,) and out.dtype == float
+
+    def test_validation(self, make_timer):
         with pytest.raises(ConfigurationError):
-            BatchStepTimer(OPT_1_3B, perf, context_quantum=0)
-        timer = BatchStepTimer(OPT_1_3B, perf)
-        with pytest.raises(ConfigurationError):
-            timer.decode_step_s(0, 16)
-        with pytest.raises(ConfigurationError):
-            timer.prefill_s(0)
+            make_timer(context_quantum=0)
+        timer = make_timer()
+        bad_calls = (
+            lambda: timer.decode_step_s(0, 16),
+            lambda: timer.decode_step_s(1, 0),
+            lambda: timer.decode_steps_s(0, [16]),
+            lambda: timer.decode_steps_s(1, [16, 0]),
+            lambda: timer.prefill_s(0),
+        )
+        for call in bad_calls:
+            with pytest.raises(ConfigurationError):
+                call()
+
+    def test_one_memo_entry_per_quantized_context(self, make_timer):
+        timer = make_timer()
+        p = timer.prefill_s(4)
+        assert p > 0
+        assert timer.prefill_s(4) == p
+        q = timer.context_quantum
+        assert timer.decode_step_s(2, 5) == timer.decode_step_s(2, q - 1)
+        assert len(timer._decode_cache) == 1
+        timer.decode_steps_s(2, range(1, 2 * q + 1))
+        assert sorted(timer._decode_cache) == [(2, q), (2, 2 * q)]
 
 
 class TestObservability:
@@ -207,7 +284,7 @@ class TestObservability:
         engine = ContinuousBatchScheduler(
             ConstStep(), CFG, _memory_for(2), tracer=tracer,
             metrics=metrics)
-        arrivals = poisson_arrivals(6, 2.0, seed=2)
+        arrivals = steady_arrivals(6, 2.0, seed=2)
         return engine.run(_requests(6), arrivals)
 
     def test_bit_identical_with_obs_on(self):

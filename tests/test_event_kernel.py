@@ -16,10 +16,15 @@ import pytest
 from repro.appliance import (
     ContinuousBatchScheduler,
     PnmAppliance,
-    poisson_arrivals,
 )
 from repro.faults import FaultPlan, chaos
-from repro.llm import OPT_1_3B, InferenceRequest, peak_kv_bytes, tiny_config
+from repro.llm import (
+    OPT_1_3B,
+    InferenceRequest,
+    peak_kv_bytes,
+    steady_arrivals,
+    tiny_config,
+)
 
 CFG = tiny_config()
 
@@ -220,7 +225,7 @@ class TestEventTimelines:
 
     @pytest.mark.parametrize("seed,rate", [(0, 0.5), (1, 2.0), (2, 8.0)])
     def test_poisson_streams_deterministic_and_fcfs(self, seed, rate):
-        arrivals = poisson_arrivals(10, rate, seed=seed)
+        arrivals = steady_arrivals(10, rate, seed=seed)
         runs = []
         for _ in range(2):
             stats = _run(requests=_requests(10), arrivals=arrivals)
@@ -249,7 +254,7 @@ class TestEventTimelines:
 class TestScaleSmoke:
     def test_many_requests_many_devices_deterministic(self):
         requests = _requests(600, input_len=4, output_len=3)
-        arrivals = poisson_arrivals(600, 20.0, seed=9)
+        arrivals = steady_arrivals(600, 20.0, seed=9)
         runs = []
         for _ in range(2):
             stats = _run(requests=requests, arrivals=arrivals,

@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.sweep import run_sweep
 from repro.llm import ReferenceModel, random_weights, tiny_config
 from repro.llm.reference import gelu, layernorm, softmax
-from repro.perf.simulator import AcceleratorSimulator, SimulatedStepTimer
+from repro.perf.simulator import AcceleratorSimulator
 from repro.runtime import InferenceSession
 from repro.units import MiB
 
@@ -205,16 +205,6 @@ class TestReadCacheCoherence:
 
 
 class TestSimulatedStepTimer:
-    def test_quantized_memoization(self):
-        timer = SimulatedStepTimer(tiny_config())
-        p = timer.prefill_s(4)
-        assert p > 0
-        assert timer.prefill_s(4) == p
-        d_near = timer.decode_step_s(2, 5)
-        d_far = timer.decode_step_s(2, 20)
-        assert d_near == d_far  # same 32-token quantum
-        assert len(timer._decode_cache) == 1
-
     def test_factory_builds_working_model(self):
         model = simulated_step_model(tiny_config())
         assert model.prefill_s(3) > 0

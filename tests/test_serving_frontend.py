@@ -11,12 +11,12 @@ Timelines use ``ConstStep`` (prefill 1 s, decode 0.5 s) so every
 expected number is hand-computable.
 """
 
+import numpy as np
 import pytest
 
 from repro.appliance import (
     ContinuousBatchScheduler,
     TenantClass,
-    poisson_arrivals,
 )
 from repro.appliance.continuous import _EventKernel, _Running
 from repro.errors import AdmissionError, ConfigurationError
@@ -74,8 +74,12 @@ def _run(requests, arrivals=None, memory=None, classes=None, **kwargs):
 
 class TestArrivalGenerators:
     def test_steady_matches_poisson(self):
-        assert steady_arrivals(32, 5.0, seed=3) \
-            == [float(t) for t in poisson_arrivals(32, 5.0, seed=3)]
+        # Homogeneous Poisson: cumulative exponential gaps from the
+        # seeded generator, returned as plain floats.
+        gaps = np.random.default_rng(3).exponential(1.0 / 5.0, size=32)
+        arrivals = steady_arrivals(32, 5.0, seed=3)
+        assert arrivals == [float(t) for t in np.cumsum(gaps)]
+        assert all(type(t) is float for t in arrivals)
 
     @pytest.mark.parametrize("shape", ["steady", "diurnal", "flash-crowd"])
     def test_shapes_deterministic_and_sorted(self, shape):

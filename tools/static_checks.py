@@ -3,7 +3,7 @@
 
 Thin CLI over :mod:`repro.analysis.suite`: runs the simulation-purity
 lint (PUR3xx), the dimensional/unit lint (UNIT4xx), the determinism
-lint (DET5xx), and the cross-model contract checker (CON6xx) over
+lint (DET5xx), and the ``as_dict`` key-set contract checker (CON6xx) over
 every Python file under ``src/repro``, then applies the checked-in
 suppression baseline (``tools/static_analysis_baseline.json``).  See
 ``docs/ANALYSIS.md`` for the rule tables and the baseline policy.
