@@ -140,6 +140,15 @@ def load_model(memory: DeviceMemory, weights: ModelWeights,
     return ModelLayout(config=config, regions=regions, quantize=quantize)
 
 
+def _check_cache_span(config: LLMConfig, ctx_prev: int, rows: int) -> None:
+    """Reject a stage whose KV rows ``[ctx_prev, ctx_prev + rows)`` fall
+    outside the cache."""
+    if ctx_prev < 0 or ctx_prev + rows > config.max_seq_len:
+        raise CapacityError(
+            f"stage would occupy KV rows {ctx_prev}..{ctx_prev + rows}, "
+            f"outside [0, max_seq_len={config.max_seq_len}]")
+
+
 class StageCompiler:
     """Emits acceleration code for one inference stage.
 
@@ -199,12 +208,14 @@ class StageCompiler:
             code.append(isa.VpuBias(dst=out, src=out,
                                     bias_addr=self.layout.addr(bias), n=n))
 
-    def _layer(self, x: str, layer_idx: int, m: int, ctx_prev: int,
-               regs: RegisterAllocator, code: List[isa.Instruction]) -> str:
+    def _layer(self, x: str, layer_idx: int, rows: int, sequences: int,
+               ctx_prev: int, regs: RegisterAllocator,
+               code: List[isa.Instruction]) -> str:
         cfg = self.config
         d, dff = cfg.d_model, cfg.d_ff
         heads, hd = cfg.num_heads, cfg.head_dim
-        ctx = ctx_prev + m
+        m = rows * sequences
+        ctx = ctx_prev + rows
         prefix = f"layer{layer_idx}."
         addr = self.layout.addr
 
@@ -221,25 +232,30 @@ class StageCompiler:
         code.append(isa.VpuSlice(dst=k_new, src=qkv, start=d, stop=2 * d))
         code.append(isa.VpuSlice(dst=v_new, src=qkv, start=2 * d,
                                  stop=3 * d))
-        # Append this stage's K/V rows to the aggregated cache (§II-B).
-        row_bytes = d * 4
-        code.append(isa.DmaStore(
-            src=k_new, addr=addr(prefix + "kcache") + ctx_prev * row_bytes,
-            shape=(m, d)))
-        code.append(isa.DmaStore(
-            src=v_new, addr=addr(prefix + "vcache") + ctx_prev * row_bytes,
-            shape=(m, d)))
         scores, rowmax = regs.matrix(), regs.vector()
-        code.append(isa.MpuMaskedMm(
-            dst=scores, q=q, k_addr=addr(prefix + "kcache"), heads=heads,
-            head_dim=hd, ctx=ctx, m=m, scale=1.0 / math.sqrt(hd),
-            mask_offset=ctx_prev, rowmax_dst=rowmax))
-        probs = regs.matrix()
-        code.append(isa.VpuSoftmax(dst=probs, src=scores, rowmax=rowmax))
-        attn = regs.matrix()
-        code.append(isa.MpuAttnContext(
-            dst=attn, probs=probs, v_addr=addr(prefix + "vcache"),
-            heads=heads, head_dim=hd, ctx=ctx, m=m))
+        probs, attn = regs.matrix(), regs.matrix()
+        row_bytes = d * 4
+        for _ in range(sequences):
+            # Append this sequence's K/V rows to the aggregated cache
+            # (§II-B), then attend over it.
+            code.append(isa.DmaStore(
+                src=k_new,
+                addr=addr(prefix + "kcache") + ctx_prev * row_bytes,
+                shape=(rows, d)))
+            code.append(isa.DmaStore(
+                src=v_new,
+                addr=addr(prefix + "vcache") + ctx_prev * row_bytes,
+                shape=(rows, d)))
+            code.append(isa.MpuMaskedMm(
+                dst=scores, q=q, k_addr=addr(prefix + "kcache"),
+                heads=heads, head_dim=hd, ctx=ctx, m=rows,
+                scale=1.0 / math.sqrt(hd), mask_offset=ctx_prev,
+                rowmax_dst=rowmax))
+            code.append(isa.VpuSoftmax(dst=probs, src=scores,
+                                       rowmax=rowmax))
+            code.append(isa.MpuAttnContext(
+                dst=attn, probs=probs, v_addr=addr(prefix + "vcache"),
+                heads=heads, head_dim=hd, ctx=ctx, m=rows))
         proj = regs.matrix()
         self._matmul(proj, attn, prefix + "w_proj", m, d, d, code,
                      bias=prefix + "b_proj")
@@ -266,23 +282,34 @@ class StageCompiler:
         code.append(isa.Free(regs=(h2, f1, g, f2, x2)))
         return x3
 
-    def compile_stage(self, tokens: Sequence[int], ctx_prev: int
-                      ) -> Tuple[isa.Instruction, ...]:
+    def compile_stage(self, tokens: Sequence[int], ctx_prev: int,
+                      sequences: int = 1) -> Tuple[isa.Instruction, ...]:
         """Acceleration code for one stage over ``tokens``.
 
         ``ctx_prev`` is the number of tokens already in the KV cache: 0
         for the sum stage, ``L - 1`` for a gen stage.  The code embeds the
         tokens, runs all decoding layers, and leaves the argmax-sampled
         next token in the designated output buffer.
+
+        ``sequences > 1`` compiles a batched decode step: one token from
+        each of ``sequences`` requests, all at the same ``ctx_prev``.  The
+        weight matmuls run once over all rows; the KV append and masked
+        attention run once per sequence; every row feeds the LM head.
+        Such a program is for timing only — each sequence addresses the
+        same caches of the one layout.
         """
         cfg = self.config
         m = len(tokens)
         if m == 0:
             raise ConfigurationError("stage needs at least one token")
-        if ctx_prev + m > cfg.max_seq_len:
-            raise CapacityError(
-                f"stage would reach {ctx_prev + m} tokens, beyond "
-                f"max_seq_len={cfg.max_seq_len}")
+        if sequences < 1:
+            raise ConfigurationError(f"sequences={sequences} must be >= 1")
+        if sequences > 1 and m != sequences:
+            raise ConfigurationError(
+                f"a {sequences}-sequence stage takes one token per "
+                f"sequence, got {m} tokens")
+        rows = m // sequences
+        _check_cache_span(cfg, ctx_prev, rows)
         regs = RegisterAllocator()
         code: List[isa.Instruction] = []
         addr = self.layout.addr
@@ -292,34 +319,44 @@ class StageCompiler:
                                   table_addr=addr("token_embedding"),
                                   row_elems=cfg.d_model,
                                   indices=tuple(int(t) for t in tokens)))
+        # One sequence's rows sit at positions ctx_prev onwards.  With
+        # several sequences every row is at position ctx_prev; the block
+        # load then starts at the table base so its rows stay in range.
+        pos_row = ctx_prev if sequences == 1 else 0
         pos = regs.matrix()
         code.append(isa.DmaLoad(
             dst=pos,
-            addr=addr("position_embedding") + ctx_prev * cfg.d_model * 4,
+            addr=addr("position_embedding") + pos_row * cfg.d_model * 4,
             shape=(m, cfg.d_model)))
         x = regs.matrix()
         code.append(isa.VpuAdd(dst=x, a=tok, b=pos))
         code.append(isa.Free(regs=(tok, pos)))
 
         for layer_idx in range(cfg.num_layers):
-            x = self._layer(x, layer_idx, m, ctx_prev, regs, code)
+            x = self._layer(x, layer_idx, rows, sequences, ctx_prev, regs,
+                            code)
 
-        last = regs.matrix()
-        code.append(isa.VpuRow(dst=last, src=x, row=-1))
+        head_regs = [x]
+        if sequences == 1:
+            # Only the last row's logits are needed; with several
+            # sequences every row is its sequence's last token.
+            last = regs.matrix()
+            code.append(isa.VpuRow(dst=last, src=x, row=-1))
+            head_regs.append(last)
         final = regs.matrix()
-        code.append(isa.VpuLayerNorm(dst=final, src=last,
+        code.append(isa.VpuLayerNorm(dst=final, src=head_regs[-1],
                                      gamma_addr=addr("ln_f_gamma"),
                                      beta_addr=addr("ln_f_beta"),
                                      n=cfg.d_model, eps=LN_EPS))
         logits = regs.matrix()
-        self._matmul(logits, final, "lm_head", 1, cfg.d_model,
+        self._matmul(logits, final, "lm_head", sequences, cfg.d_model,
                      cfg.vocab_size, code)
         token_reg = regs.scalar()
         code.append(isa.VpuArgmax(dst=token_reg, src=logits))
         code.append(isa.DmaStore(src=token_reg,
                                  addr=self.layout.output_region.addr,
-                                 shape=(1,)))
-        code.append(isa.Free(regs=(x, last, final, logits, token_reg)))
+                                 shape=(sequences,)))
+        code.append(isa.Free(regs=(*head_regs, final, logits, token_reg)))
         code.append(isa.Barrier())
         return tuple(code)
 
@@ -480,10 +517,7 @@ class ProgramCache:
         if tokens == tpl_tokens and ctx_prev == tpl_ctx:
             return template
         cfg = self.compiler.config
-        if ctx_prev + m > cfg.max_seq_len:
-            raise CapacityError(
-                f"stage would reach {ctx_prev + m} tokens, beyond "
-                f"max_seq_len={cfg.max_seq_len}")
+        _check_cache_span(cfg, ctx_prev, m)
         delta_bytes = (ctx_prev - tpl_ctx) * cfg.d_model * 4
         ctx = ctx_prev + m
         code = list(template)
@@ -594,112 +628,12 @@ def batched_timing_program(config: LLMConfig, batch: int, ctx_prev: int,
     """One batched decode step for timing: a gen token from each of
     ``batch`` concurrent requests, all at attention span ``ctx_prev + 1``.
 
-    Mirrors :func:`repro.llm.batching.batched_gen_stage_ops`: the weight
-    matmuls run once as ``[batch x k] @ [k x n]`` GEMMs (weights stream
-    once per step), while KV appends and masked attention run per request
-    at ``m=1`` on the adder trees, each against its own cache.  Timing
-    only — addresses come from a fake layout and the program is never
-    executed functionally (register shapes would not line up).
+    The gen stage compiled for ``batch`` sequences: the weight matmuls run
+    once as ``[batch x k] @ [k x n]`` GEMMs (weights stream once per
+    step), while KV appends and masked attention run per request at
+    ``m=1`` on the adder trees.  Timing only — addresses come from a fake
+    layout and the program is never executed functionally.
     """
-    if batch < 1:
-        raise ConfigurationError(f"batch={batch} must be >= 1")
-    if ctx_prev < 0 or ctx_prev + 1 > config.max_seq_len:
-        raise CapacityError(
-            f"context {ctx_prev + 1} beyond max_seq_len="
-            f"{config.max_seq_len}")
     layout = _fake_layout(config, quantize=quantize)
-    sc = StageCompiler(layout)
-    cfg = config
-    d, dff = cfg.d_model, cfg.d_ff
-    heads, hd = cfg.num_heads, cfg.head_dim
-    ctx = ctx_prev + 1
-    addr = layout.addr
-    regs = RegisterAllocator()
-    code: List[isa.Instruction] = []
-
-    tok = regs.matrix()
-    code.append(isa.DmaGather(dst=tok, table_addr=addr("token_embedding"),
-                              row_elems=d, indices=(0,) * batch))
-    pos = regs.matrix()
-    code.append(isa.DmaLoad(dst=pos, addr=addr("position_embedding"),
-                            shape=(batch, d)))
-    x = regs.matrix()
-    code.append(isa.VpuAdd(dst=x, a=tok, b=pos))
-    code.append(isa.Free(regs=(tok, pos)))
-
-    for i in range(cfg.num_layers):
-        p = f"layer{i}."
-        h = regs.matrix()
-        code.append(isa.VpuLayerNorm(dst=h, src=x,
-                                     gamma_addr=addr(p + "ln1_gamma"),
-                                     beta_addr=addr(p + "ln1_beta"),
-                                     n=d, eps=LN_EPS))
-        qkv = regs.matrix()
-        sc._matmul(qkv, h, p + "w_qkv", batch, d, 3 * d, code,
-                   bias=p + "b_qkv")
-        q, k_new, v_new = regs.matrix(), regs.matrix(), regs.matrix()
-        code.append(isa.VpuSlice(dst=q, src=qkv, start=0, stop=d))
-        code.append(isa.VpuSlice(dst=k_new, src=qkv, start=d, stop=2 * d))
-        code.append(isa.VpuSlice(dst=v_new, src=qkv, start=2 * d,
-                                 stop=3 * d))
-        scores, rowmax = regs.matrix(), regs.vector()
-        probs, attn = regs.matrix(), regs.matrix()
-        row_bytes = d * 4
-        for _ in range(batch):
-            code.append(isa.DmaStore(
-                src=k_new,
-                addr=addr(p + "kcache") + ctx_prev * row_bytes,
-                shape=(1, d)))
-            code.append(isa.DmaStore(
-                src=v_new,
-                addr=addr(p + "vcache") + ctx_prev * row_bytes,
-                shape=(1, d)))
-            code.append(isa.MpuMaskedMm(
-                dst=scores, q=q, k_addr=addr(p + "kcache"), heads=heads,
-                head_dim=hd, ctx=ctx, m=1, scale=1.0 / math.sqrt(hd),
-                mask_offset=ctx_prev, rowmax_dst=rowmax))
-            code.append(isa.VpuSoftmax(dst=probs, src=scores,
-                                       rowmax=rowmax))
-            code.append(isa.MpuAttnContext(
-                dst=attn, probs=probs, v_addr=addr(p + "vcache"),
-                heads=heads, head_dim=hd, ctx=ctx, m=1))
-        proj = regs.matrix()
-        sc._matmul(proj, attn, p + "w_proj", batch, d, d, code,
-                   bias=p + "b_proj")
-        x2 = regs.matrix()
-        code.append(isa.VpuAdd(dst=x2, a=x, b=proj))
-        code.append(isa.Free(regs=(h, qkv, q, k_new, v_new, scores, rowmax,
-                                   probs, attn, proj, x)))
-        h2 = regs.matrix()
-        code.append(isa.VpuLayerNorm(dst=h2, src=x2,
-                                     gamma_addr=addr(p + "ln2_gamma"),
-                                     beta_addr=addr(p + "ln2_beta"),
-                                     n=d, eps=LN_EPS))
-        f1 = regs.matrix()
-        sc._matmul(f1, h2, p + "w_fc1", batch, d, dff, code,
-                   bias=p + "b_fc1")
-        g = regs.matrix()
-        code.append(isa.VpuGelu(dst=g, src=f1))
-        f2 = regs.matrix()
-        sc._matmul(f2, g, p + "w_fc2", batch, dff, d, code,
-                   bias=p + "b_fc2")
-        x3 = regs.matrix()
-        code.append(isa.VpuAdd(dst=x3, a=x2, b=f2))
-        code.append(isa.Free(regs=(h2, f1, g, f2, x2)))
-        x = x3
-
-    final = regs.matrix()
-    code.append(isa.VpuLayerNorm(dst=final, src=x,
-                                 gamma_addr=addr("ln_f_gamma"),
-                                 beta_addr=addr("ln_f_beta"),
-                                 n=d, eps=LN_EPS))
-    logits = regs.matrix()
-    sc._matmul(logits, final, "lm_head", batch, d, cfg.vocab_size, code)
-    token_reg = regs.scalar()
-    code.append(isa.VpuArgmax(dst=token_reg, src=logits))
-    code.append(isa.DmaStore(src=token_reg,
-                             addr=layout.output_region.addr,
-                             shape=(batch,)))
-    code.append(isa.Free(regs=(x, final, logits, token_reg)))
-    code.append(isa.Barrier())
-    return tuple(code)
+    return StageCompiler(layout).compile_stage([0] * batch, ctx_prev,
+                                               sequences=batch)

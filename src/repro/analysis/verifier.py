@@ -23,9 +23,10 @@ Combines three analyses into one :class:`AnalysisReport`:
 
 A program **verifies clean** when the report has no ERRORs
 (``report.ok``).  Warnings flag legal-but-suspicious constructs that
-shipped timing templates intentionally contain — e.g.
-``batched_timing_program`` re-stores each request's KV row at the same
-fake address, which is exactly what PNM204 describes.
+shipped timing templates intentionally contain — e.g. a multi-sequence
+stage (``compile_stage(..., sequences=)``, as ``batched_timing_program``
+compiles it) re-stores each sequence's KV row at the same fake address,
+which is exactly what PNM204 describes.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ all-reduce points per layer (after attention projection, after FC2), which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, NamedTuple
 
 from repro.errors import ConfigurationError, ParallelismError
@@ -30,17 +30,29 @@ from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
 class StageShape:
     """Token geometry of one stage.
 
-    ``batch_tokens`` is the number of token rows processed at once (``L_in``
-    for the sum stage, 1 for a gen stage); ``context_len`` is the attention
-    span ``L`` (input tokens plus tokens generated so far).
+    ``batch_tokens`` is the number of token rows each sequence processes
+    at once (``L_in`` for the sum stage, 1 for a gen stage);
+    ``context_len`` is the attention span ``L`` (input tokens plus tokens
+    generated so far).  ``sequences`` independent sequences, all at the
+    same span, share the stage: a batched decode step is ``sequences``
+    gen stages whose weight matmuls run as one ``[sequences x k]`` GEMM
+    while each sequence attends over its own KV cache.
     """
 
     batch_tokens: int
     context_len: int
+    sequences: int = 1
 
     def __post_init__(self) -> None:
         if self.batch_tokens <= 0 or self.context_len <= 0:
             raise ConfigurationError("stage shape must be positive")
+        if self.sequences < 1:
+            raise ConfigurationError(
+                f"sequences={self.sequences} must be >= 1")
+        if self.sequences > 1 and self.batch_tokens != 1:
+            raise ConfigurationError(
+                "a multi-sequence stage is a decode step: one token per "
+                f"sequence, not batch_tokens={self.batch_tokens}")
         if self.batch_tokens > self.context_len:
             raise ConfigurationError(
                 f"batch_tokens={self.batch_tokens} exceeds "
@@ -64,7 +76,9 @@ def decoder_layer_ops(config: LLMConfig, shape: StageShape,
     Follows the paper's decomposition: LayerNorm, QKV generation, attention
     (scores, softmax, context), projection, residual, LayerNorm, FC1, GELU,
     FC2, residual.  Per-head attention matmuls are aggregated into one op
-    with the summed dimensions (heads are independent and identical).
+    with the summed dimensions (heads are independent and identical), and
+    so are the per-sequence ones of a multi-sequence shape: weight matmuls
+    see every sequence's rows, attention runs per sequence and head.
     """
     if tensor_parallel < 1:
         raise ParallelismError(f"tensor_parallel={tensor_parallel} < 1")
@@ -73,35 +87,39 @@ def decoder_layer_ops(config: LLMConfig, shape: StageShape,
     heads = _split(config.num_heads, tensor_parallel, "num_heads")
     d_local = heads * config.head_dim
     dff_local = _split(config.d_ff, tensor_parallel, "d_ff")
-    m = shape.batch_tokens
+    rows = shape.batch_tokens
+    m = rows * shape.sequences
     ctx = shape.context_len
     hd = config.head_dim
+    attn_heads = heads * shape.sequences
 
     ops: List[OpSpec] = []
     ops.append(vector_op(f"{layer_name}.ln1", OpKind.LAYERNORM,
                          elements=m * d, dtype_bytes=dtype))
     ops.append(matmul_op(f"{layer_name}.qkv", m=m, n=3 * d_local, k=d,
                          dtype_bytes=dtype))
-    # Attention scores: per head [m x hd] @ [hd x ctx]; KV streams from
-    # device memory (weights_resident=True models KV-cache traffic).
-    score = matmul_op(f"{layer_name}.attn_score", m=m, n=ctx, k=hd,
+    # Attention scores: per sequence and head [rows x hd] @ [hd x ctx]; KV
+    # streams from device memory (weights_resident=True models KV-cache
+    # traffic).
+    score = matmul_op(f"{layer_name}.attn_score", m=rows, n=ctx, k=hd,
                       dtype_bytes=dtype)
     ops.append(OpSpec(name=score.name, kind=score.kind,
-                      flops=score.flops * heads,
-                      weight_bytes=score.weight_bytes * heads,
-                      input_bytes=score.input_bytes * heads,
-                      output_bytes=score.output_bytes * heads,
-                      m=m, n=ctx, k=hd))
+                      flops=score.flops * attn_heads,
+                      weight_bytes=score.weight_bytes * attn_heads,
+                      input_bytes=score.input_bytes * attn_heads,
+                      output_bytes=score.output_bytes * attn_heads,
+                      m=rows, n=ctx, k=hd))
     ops.append(vector_op(f"{layer_name}.softmax", OpKind.SOFTMAX,
-                         elements=m * ctx * heads, dtype_bytes=dtype))
-    context = matmul_op(f"{layer_name}.attn_ctx", m=m, n=hd, k=ctx,
+                         elements=rows * ctx * attn_heads,
+                         dtype_bytes=dtype))
+    context = matmul_op(f"{layer_name}.attn_ctx", m=rows, n=hd, k=ctx,
                         dtype_bytes=dtype)
     ops.append(OpSpec(name=context.name, kind=context.kind,
-                      flops=context.flops * heads,
-                      weight_bytes=context.weight_bytes * heads,
-                      input_bytes=context.input_bytes * heads,
-                      output_bytes=context.output_bytes * heads,
-                      m=m, n=hd, k=ctx))
+                      flops=context.flops * attn_heads,
+                      weight_bytes=context.weight_bytes * attn_heads,
+                      input_bytes=context.input_bytes * attn_heads,
+                      output_bytes=context.output_bytes * attn_heads,
+                      m=rows, n=hd, k=ctx))
     ops.append(matmul_op(f"{layer_name}.proj", m=m, n=d, k=d_local,
                          dtype_bytes=dtype))
     ops.append(vector_op(f"{layer_name}.residual1", OpKind.ELEMENTWISE,
@@ -124,20 +142,26 @@ def decoder_layer_ops(config: LLMConfig, shape: StageShape,
 def lm_head_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
     """Final LayerNorm plus the LM-head projection to vocabulary logits.
 
-    Only the last token's logits are needed, so ``m`` is 1 regardless of the
-    stage (the sum stage also emits exactly one next token).
+    Only each sequence's last token's logits are needed, so the projection
+    is a GEMV (``m`` is 1) regardless of the stage (the sum stage also
+    emits exactly one next token).  With several sequences the head
+    weights stream once while FLOPs and activations scale per sequence.
     """
+    seqs = shape.sequences
     ops = [vector_op("lm_head.ln_f", OpKind.LAYERNORM,
-                     elements=shape.batch_tokens * config.d_model,
+                     elements=shape.batch_tokens * seqs * config.d_model,
                      dtype_bytes=config.dtype_bytes)]
-    ops.append(matmul_op("lm_head.logits", m=1, n=config.vocab_size,
-                         k=config.d_model, dtype_bytes=config.dtype_bytes))
+    logits = matmul_op("lm_head.logits", m=1, n=config.vocab_size,
+                       k=config.d_model, dtype_bytes=config.dtype_bytes)
+    ops.append(replace(logits, flops=logits.flops * seqs,
+                       input_bytes=logits.input_bytes * seqs,
+                       output_bytes=logits.output_bytes * seqs))
     return ops
 
 
 def embedding_ops(config: LLMConfig, shape: StageShape) -> List[OpSpec]:
     """Token + positional embedding lookup (a gather, bandwidth only)."""
-    elems = shape.batch_tokens * config.d_model
+    elems = shape.batch_tokens * shape.sequences * config.d_model
     return [OpSpec(name="embed", kind=OpKind.EMBEDDING, flops=float(elems),
                    weight_bytes=float(elems * config.dtype_bytes),
                    input_bytes=0.0,

@@ -19,8 +19,16 @@ from typing import List
 
 from repro.errors import ConfigurationError
 from repro.llm.config import LLMConfig
-from repro.llm.graph import StageShape, embedding_ops, lm_head_ops
+from repro.llm.graph import (
+    StageShape,
+    decoder_layer_ops,
+    embedding_ops,
+    lm_head_ops,
+)
 from repro.llm.ops import OpKind, OpSpec, matmul_op, vector_op
+
+#: The dense FFN ops of a decoder layer, replaced by the expert FFNs.
+_DENSE_FFN = ("fc1", "gelu", "fc2")
 
 
 @dataclass(frozen=True)
@@ -88,45 +96,20 @@ class MoEConfig:
 def moe_gen_stage_ops(config: MoEConfig, context_len: int) -> List[OpSpec]:
     """One gen stage of the MoE model: dense attention, top-k expert FFN.
 
-    Router matmul is tiny; the FFN ops carry ``top_k`` experts' weights.
+    Each layer is the dense decoder layer with its FFN (``fc1``, ``gelu``,
+    ``fc2``) swapped for the router and ``top_k`` experts.  Router matmul
+    is tiny; the FFN ops carry ``top_k`` experts' weights.
     """
     base = config.base
     shape = StageShape(batch_tokens=1, context_len=context_len)
     d, dff, dtype = base.d_model, base.d_ff, base.dtype_bytes
-    heads, hd = base.num_heads, base.head_dim
     ops = embedding_ops(base, shape)
     for i in range(base.num_layers):
         prefix = f"layer{i}"
-        ops.append(vector_op(f"{prefix}.ln1", OpKind.LAYERNORM,
-                             elements=d, dtype_bytes=dtype))
-        ops.append(matmul_op(f"{prefix}.qkv", m=1, n=3 * d, k=d,
-                             dtype_bytes=dtype))
-        score = matmul_op(f"{prefix}.attn_score", m=1, n=context_len, k=hd,
-                          dtype_bytes=dtype)
-        ops.append(OpSpec(name=score.name, kind=OpKind.GEMV,
-                          flops=score.flops * heads,
-                          weight_bytes=score.weight_bytes * heads,
-                          input_bytes=score.input_bytes * heads,
-                          output_bytes=score.output_bytes * heads,
-                          m=1, n=context_len, k=hd))
-        ops.append(vector_op(f"{prefix}.softmax", OpKind.SOFTMAX,
-                             elements=context_len * heads,
-                             dtype_bytes=dtype))
-        ctx = matmul_op(f"{prefix}.attn_ctx", m=1, n=hd, k=context_len,
-                        dtype_bytes=dtype)
-        ops.append(OpSpec(name=ctx.name, kind=OpKind.GEMV,
-                          flops=ctx.flops * heads,
-                          weight_bytes=ctx.weight_bytes * heads,
-                          input_bytes=ctx.input_bytes * heads,
-                          output_bytes=ctx.output_bytes * heads,
-                          m=1, n=hd, k=context_len))
-        ops.append(matmul_op(f"{prefix}.proj", m=1, n=d, k=d,
-                             dtype_bytes=dtype))
-        ops.append(vector_op(f"{prefix}.residual1", OpKind.ELEMENTWISE,
-                             elements=d, dtype_bytes=dtype,
-                             flops_per_element=1.0, num_inputs=2))
-        ops.append(vector_op(f"{prefix}.ln2", OpKind.LAYERNORM,
-                             elements=d, dtype_bytes=dtype))
+        *attention, residual2 = [
+            op for op in decoder_layer_ops(base, shape, layer_name=prefix)
+            if op.name.rsplit(".", 1)[1] not in _DENSE_FFN]
+        ops.extend(attention)
         ops.append(matmul_op(f"{prefix}.router", m=1, n=config.num_experts,
                              k=d, dtype_bytes=dtype))
         for expert in range(config.top_k):
@@ -137,8 +120,6 @@ def moe_gen_stage_ops(config: MoEConfig, context_len: int) -> List[OpSpec]:
                                  dtype_bytes=dtype))
             ops.append(matmul_op(f"{prefix}.expert{expert}.fc2", m=1,
                                  n=d, k=dff, dtype_bytes=dtype))
-        ops.append(vector_op(f"{prefix}.residual2", OpKind.ELEMENTWISE,
-                             elements=d, dtype_bytes=dtype,
-                             flops_per_element=1.0, num_inputs=2))
+        ops.append(residual2)
     ops.extend(lm_head_ops(base, shape))
     return ops

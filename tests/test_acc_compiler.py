@@ -9,6 +9,7 @@ from repro.accelerator import (
     load_model,
     timing_program,
 )
+from repro.accelerator.compiler import batched_timing_program
 from repro.errors import CapacityError, ConfigurationError
 from repro.llm import OPT_1_3B, random_weights, tiny_config
 from repro.units import KiB, MiB
@@ -100,6 +101,23 @@ class TestStageErrors:
         with pytest.raises(CapacityError):
             StageCompiler(loaded_layout).compile_stage(
                 [1], ctx_prev=tiny_cfg.max_seq_len)
+
+    @pytest.mark.parametrize("ctx_prev", [-1, -2])
+    def test_negative_context_rejected(self, ctx_prev):
+        """KV appends before the cache region, or a non-positive
+        attention span, fail at compile time with the overflow error."""
+        with pytest.raises(CapacityError):
+            timing_program(tiny_config(), 4, ctx_prev=ctx_prev)
+        with pytest.raises(CapacityError):
+            batched_timing_program(tiny_config(), 4, ctx_prev=ctx_prev)
+
+    def test_multi_sequence_stage_takes_one_token_each(self,
+                                                       loaded_layout):
+        """A batched decode step is one token per sequence; prefill
+        batching is not supported."""
+        with pytest.raises(ConfigurationError):
+            StageCompiler(loaded_layout).compile_stage(
+                [1, 2, 3, 4], ctx_prev=0, sequences=2)
 
     def test_gen_stage_needs_context(self, loaded_layout):
         with pytest.raises(ConfigurationError):

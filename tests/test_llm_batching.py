@@ -22,14 +22,17 @@ class TestBatchedOps:
         plain = total_weight_bytes(gen_stage_ops(OPT_13B, ctx))
         assert batched == pytest.approx(plain, rel=0.01)
 
-    def test_batch_one_matches_unbatched_exactly(self):
+    @pytest.mark.parametrize("config", [OPT_13B, OPT_13B.with_dtype(1)],
+                             ids=["fp16", "int8"])
+    def test_batch_one_matches_unbatched_exactly(self, config):
         """Regression: the embedding used to be built with
         ``StageShape(batch, max(batch, context_len))``, conflating the
-        batch with the attention span.  Batch=1 must now reduce to the
-        unbatched gen-stage graph op for op."""
+        batch with the attention span, and the int8 LM-head ops lost
+        their ``elem_bytes``.  Batch=1 must reduce to the unbatched
+        gen-stage graph op for op."""
         ctx = 576
-        assert batched_gen_stage_ops(OPT_13B, ctx, 1) \
-            == gen_stage_ops(OPT_13B, ctx)
+        assert batched_gen_stage_ops(config, ctx, 1) \
+            == gen_stage_ops(config, ctx)
 
     def test_embedding_scales_with_batch_not_context(self):
         """Each sequence embeds exactly one new token per decode step,

@@ -19,6 +19,13 @@ class TestStageShape:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
             StageShape(batch_tokens=0, context_len=4)
+        with pytest.raises(ConfigurationError):
+            StageShape(batch_tokens=1, context_len=4, sequences=0)
+
+    def test_multi_sequence_stage_is_one_token_each(self):
+        """Batched decode only; prefill batching is not modelled."""
+        with pytest.raises(ConfigurationError):
+            StageShape(batch_tokens=2, context_len=4, sequences=2)
 
     def test_rejects_batch_beyond_context(self):
         with pytest.raises(ConfigurationError):

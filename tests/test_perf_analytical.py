@@ -9,11 +9,7 @@ from repro.accelerator.device import AcceleratorSpec
 from repro.errors import ConfigurationError
 from repro.gpu import A100_40G
 from repro.llm import OPT_13B, OPT_1_3B, OPT_30B, tiny_config
-from repro.llm.batching import (
-    batched_gen_layer_ops,
-    batched_gen_stage_ops,
-    batched_gen_stage_parts,
-)
+from repro.llm.batching import batched_gen_stage_ops, batched_gen_stage_parts
 from repro.llm.graph import (
     StageShape,
     decoder_layer_ops,
@@ -197,9 +193,10 @@ class TestLayerOncePricing:
         batched = batched_gen_stage_ops(cfg, 577, 8)
         parts = batched_gen_stage_parts(cfg, 577, 8)
         hand = list(parts.embed)
+        step = StageShape(batch_tokens=1, context_len=577, sequences=8)
         for i in range(40):
-            hand.extend(batched_gen_layer_ops(cfg, 577, 8,
-                                              layer_name=f"layer{i}"))
+            hand.extend(decoder_layer_ops(cfg, step,
+                                          layer_name=f"layer{i}"))
         hand.extend(parts.head)
         assert batched == hand
 
