@@ -149,6 +149,23 @@ def _check_cache_span(config: LLMConfig, ctx_prev: int, rows: int) -> None:
             f"outside [0, max_seq_len={config.max_seq_len}]")
 
 
+def matmul_instr(out: str, act: str, weight_addr: int, m: int, k: int,
+                 n: int, scale_addr: Optional[int] = None,
+                 bias_addr: int = -1) -> isa.Instruction:
+    """The one datapath choice for ``out = act @ W``: a GEMM on the PE
+    array for multi-row activations, a GEMV on the adder trees for one
+    row.  A ``scale_addr`` selects the int8 weight stream with fused
+    dequantization (and fused bias when ``bias_addr >= 0``)."""
+    dtype = "fp16" if scale_addr is None else "int8"
+    scale = -1 if scale_addr is None else scale_addr
+    if m > 1:
+        return isa.MpuMmPea(dst=out, act=act, weight_addr=weight_addr, m=m,
+                            k=k, n=n, dtype=dtype, scale_addr=scale,
+                            bias_addr=bias_addr)
+    return isa.MpuMv(dst=out, act=act, weight_addr=weight_addr, k=k, n=n,
+                     dtype=dtype, scale_addr=scale, bias_addr=bias_addr)
+
+
 class StageCompiler:
     """Emits acceleration code for one inference stage.
 
@@ -177,7 +194,7 @@ class StageCompiler:
     def _matmul(self, out: str, act: str, weight: str, m: int, k: int,
                 n: int, code: List[isa.Instruction],
                 bias: Optional[str] = None) -> None:
-        """GEMM on the PE array for multi-token rows, GEMV otherwise.
+        """Emit ``out = act @ weight (+ bias)`` through :func:`matmul_instr`.
 
         In int8 mode the per-channel scales stream from the weight's
         ``.scale`` region and ``bias`` (when given) is fused into the
@@ -185,37 +202,99 @@ class StageCompiler:
         separate ``VPU_BIAS``, so unquantized programs are bit-identical
         to the historical emission.
         """
-        waddr = self.layout.addr(weight)
+        addr = self.layout.addr
         if self.quantize == "int8":
-            scale = self.layout.addr(weight + ".scale")
-            baddr = self.layout.addr(bias) if bias is not None else -1
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst=out, act=act, weight_addr=waddr, m=m, k=k, n=n,
-                    dtype="int8", scale_addr=scale, bias_addr=baddr))
-            else:
-                code.append(isa.MpuMv(
-                    dst=out, act=act, weight_addr=waddr, k=k, n=n,
-                    dtype="int8", scale_addr=scale, bias_addr=baddr))
+            code.append(matmul_instr(
+                out, act, addr(weight), m, k, n,
+                scale_addr=addr(weight + ".scale"),
+                bias_addr=addr(bias) if bias is not None else -1))
             return
-        if m > 1:
-            code.append(isa.MpuMmPea(dst=out, act=act, weight_addr=waddr,
-                                     m=m, k=k, n=n))
-        else:
-            code.append(isa.MpuMv(dst=out, act=act, weight_addr=waddr,
-                                  k=k, n=n))
+        code.append(matmul_instr(out, act, addr(weight), m, k, n))
         if bias is not None:
-            code.append(isa.VpuBias(dst=out, src=out,
-                                    bias_addr=self.layout.addr(bias), n=n))
+            code.append(isa.VpuBias(dst=out, src=out, bias_addr=addr(bias),
+                                    n=n))
+
+    def attention(self, h: str, prefix: str, rows: int, sequences: int,
+                  ctx_prev: int, heads: int, regs: RegisterAllocator,
+                  code: List[isa.Instruction], proj_bias: Optional[str]
+                  ) -> Tuple[str, Tuple[str, ...]]:
+        """The attention block of one decoder layer over normalized ``h``.
+
+        QKV generation, the KV-cache append and masked attention per
+        sequence, and the output projection.  ``heads`` sets the
+        attention width ``heads * head_dim``: the full head count on one
+        device, the local count on a tensor-parallel shard, whose
+        ``w_qkv`` / ``w_proj`` / caches hold only its heads.
+        ``proj_bias=None`` leaves the projection bias to the caller.
+
+        Returns ``(out_reg, temps)``: the projection's register and the
+        registers the caller frees once it has consumed ``out_reg``.
+        """
+        cfg = self.config
+        d, hd = cfg.d_model, cfg.head_dim
+        width = heads * hd
+        m = rows * sequences
+        ctx = ctx_prev + rows
+        addr = self.layout.addr
+        kcache, vcache = addr(prefix + "kcache"), addr(prefix + "vcache")
+
+        qkv = regs.matrix()
+        self._matmul(qkv, h, prefix + "w_qkv", m, d, 3 * width, code,
+                     bias=prefix + "b_qkv")
+        q, k_new, v_new = regs.matrix(), regs.matrix(), regs.matrix()
+        code.append(isa.VpuSlice(dst=q, src=qkv, start=0, stop=width))
+        code.append(isa.VpuSlice(dst=k_new, src=qkv, start=width,
+                                 stop=2 * width))
+        code.append(isa.VpuSlice(dst=v_new, src=qkv, start=2 * width,
+                                 stop=3 * width))
+        scores, rowmax = regs.matrix(), regs.vector()
+        probs, attn = regs.matrix(), regs.matrix()
+        append = ctx_prev * width * 4
+        for _ in range(sequences):
+            # Append this sequence's K/V rows to the aggregated cache
+            # (§II-B), then attend over it.
+            code.append(isa.DmaStore(src=k_new, addr=kcache + append,
+                                     shape=(rows, width)))
+            code.append(isa.DmaStore(src=v_new, addr=vcache + append,
+                                     shape=(rows, width)))
+            code.append(isa.MpuMaskedMm(
+                dst=scores, q=q, k_addr=kcache, heads=heads, head_dim=hd,
+                ctx=ctx, m=rows, scale=1.0 / math.sqrt(hd),
+                mask_offset=ctx_prev, rowmax_dst=rowmax))
+            code.append(isa.VpuSoftmax(dst=probs, src=scores,
+                                       rowmax=rowmax))
+            code.append(isa.MpuAttnContext(
+                dst=attn, probs=probs, v_addr=vcache, heads=heads,
+                head_dim=hd, ctx=ctx, m=rows))
+        proj = regs.matrix()
+        self._matmul(proj, attn, prefix + "w_proj", m, width, d, code,
+                     bias=proj_bias)
+        return proj, (qkv, q, k_new, v_new, scores, rowmax, probs, attn)
+
+    def ffn(self, h: str, prefix: str, m: int, d_ff: int,
+            regs: RegisterAllocator, code: List[isa.Instruction],
+            fc2_bias: Optional[str]) -> Tuple[str, Tuple[str, ...]]:
+        """The FFN block of one decoder layer over normalized ``h``:
+        ``fc2(gelu(fc1(h)))`` with ``d_ff`` hidden columns (a shard's
+        local slice under tensor parallelism).  ``fc2_bias=None`` leaves
+        the second bias to the caller.  Returns ``(out_reg, temps)`` like
+        :meth:`attention`."""
+        d = self.config.d_model
+        f1 = regs.matrix()
+        self._matmul(f1, h, prefix + "w_fc1", m, d, d_ff, code,
+                     bias=prefix + "b_fc1")
+        g = regs.matrix()
+        code.append(isa.VpuGelu(dst=g, src=f1))
+        f2 = regs.matrix()
+        self._matmul(f2, g, prefix + "w_fc2", m, d_ff, d, code,
+                     bias=fc2_bias)
+        return f2, (f1, g)
 
     def _layer(self, x: str, layer_idx: int, rows: int, sequences: int,
                ctx_prev: int, regs: RegisterAllocator,
                code: List[isa.Instruction]) -> str:
         cfg = self.config
-        d, dff = cfg.d_model, cfg.d_ff
-        heads, hd = cfg.num_heads, cfg.head_dim
-        m = rows * sequences
-        ctx = ctx_prev + rows
+        d = cfg.d_model
         prefix = f"layer{layer_idx}."
         addr = self.layout.addr
 
@@ -224,62 +303,23 @@ class StageCompiler:
                                      gamma_addr=addr(prefix + "ln1_gamma"),
                                      beta_addr=addr(prefix + "ln1_beta"),
                                      n=d, eps=LN_EPS))
-        qkv = regs.matrix()
-        self._matmul(qkv, h, prefix + "w_qkv", m, d, 3 * d, code,
-                     bias=prefix + "b_qkv")
-        q, k_new, v_new = regs.matrix(), regs.matrix(), regs.matrix()
-        code.append(isa.VpuSlice(dst=q, src=qkv, start=0, stop=d))
-        code.append(isa.VpuSlice(dst=k_new, src=qkv, start=d, stop=2 * d))
-        code.append(isa.VpuSlice(dst=v_new, src=qkv, start=2 * d,
-                                 stop=3 * d))
-        scores, rowmax = regs.matrix(), regs.vector()
-        probs, attn = regs.matrix(), regs.matrix()
-        row_bytes = d * 4
-        for _ in range(sequences):
-            # Append this sequence's K/V rows to the aggregated cache
-            # (§II-B), then attend over it.
-            code.append(isa.DmaStore(
-                src=k_new,
-                addr=addr(prefix + "kcache") + ctx_prev * row_bytes,
-                shape=(rows, d)))
-            code.append(isa.DmaStore(
-                src=v_new,
-                addr=addr(prefix + "vcache") + ctx_prev * row_bytes,
-                shape=(rows, d)))
-            code.append(isa.MpuMaskedMm(
-                dst=scores, q=q, k_addr=addr(prefix + "kcache"),
-                heads=heads, head_dim=hd, ctx=ctx, m=rows,
-                scale=1.0 / math.sqrt(hd), mask_offset=ctx_prev,
-                rowmax_dst=rowmax))
-            code.append(isa.VpuSoftmax(dst=probs, src=scores,
-                                       rowmax=rowmax))
-            code.append(isa.MpuAttnContext(
-                dst=attn, probs=probs, v_addr=addr(prefix + "vcache"),
-                heads=heads, head_dim=hd, ctx=ctx, m=rows))
-        proj = regs.matrix()
-        self._matmul(proj, attn, prefix + "w_proj", m, d, d, code,
-                     bias=prefix + "b_proj")
+        proj, temps = self.attention(h, prefix, rows, sequences, ctx_prev,
+                                     cfg.num_heads, regs, code,
+                                     proj_bias=prefix + "b_proj")
         x2 = regs.matrix()
         code.append(isa.VpuAdd(dst=x2, a=x, b=proj))
-        code.append(isa.Free(regs=(h, qkv, q, k_new, v_new, scores, rowmax,
-                                   probs, attn, proj, x)))
+        code.append(isa.Free(regs=(h, *temps, proj, x)))
 
         h2 = regs.matrix()
         code.append(isa.VpuLayerNorm(dst=h2, src=x2,
                                      gamma_addr=addr(prefix + "ln2_gamma"),
                                      beta_addr=addr(prefix + "ln2_beta"),
                                      n=d, eps=LN_EPS))
-        f1 = regs.matrix()
-        self._matmul(f1, h2, prefix + "w_fc1", m, d, dff, code,
-                     bias=prefix + "b_fc1")
-        g = regs.matrix()
-        code.append(isa.VpuGelu(dst=g, src=f1))
-        f2 = regs.matrix()
-        self._matmul(f2, g, prefix + "w_fc2", m, dff, d, code,
-                     bias=prefix + "b_fc2")
+        f2, temps = self.ffn(h2, prefix, rows * sequences, cfg.d_ff, regs,
+                             code, fc2_bias=prefix + "b_fc2")
         x3 = regs.matrix()
         code.append(isa.VpuAdd(dst=x3, a=x2, b=f2))
-        code.append(isa.Free(regs=(h2, f1, g, f2, x2)))
+        code.append(isa.Free(regs=(h2, *temps, f2, x2)))
         return x3
 
     def compile_stage(self, tokens: Sequence[int], ctx_prev: int,

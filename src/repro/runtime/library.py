@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.accelerator import isa
+from repro.accelerator.compiler import matmul_instr
 from repro.accelerator.memory import DeviceMemory, Region
 from repro.errors import ConfigurationError
 from repro.runtime.driver import CxlPnmDriver
@@ -150,14 +151,8 @@ class CxlPnmLibrary:
             raise ConfigurationError(
                 f"conv1d: inner dims differ ({k} vs {wk})")
         out = self.alloc((rows, n), "conv1d")
-        code = [isa.DmaLoad(dst="m0", addr=x.addr, shape=(rows, k))]
-        if rows > 1:
-            code.append(isa.MpuMmPea(dst="m1", act="m0",
-                                     weight_addr=weight.addr,
-                                     m=rows, k=k, n=n))
-        else:
-            code.append(isa.MpuMv(dst="m1", act="m0",
-                                  weight_addr=weight.addr, k=k, n=n))
+        code = [isa.DmaLoad(dst="m0", addr=x.addr, shape=(rows, k)),
+                matmul_instr("m1", "m0", weight.addr, rows, k, n)]
         if bias is not None:
             if bias.shape != (n,):
                 raise ConfigurationError("conv1d: bias must be [n]")
@@ -205,6 +200,11 @@ class CxlPnmLibrary:
         if wc != in_ch:
             raise ConfigurationError(
                 f"conv2d: channel mismatch ({in_ch} vs {wc})")
+        if stride < 1:
+            raise ConfigurationError(f"conv2d: stride {stride} must be >= 1")
+        if kh > h or kw > w:
+            raise ConfigurationError(
+                f"conv2d: {kh}x{kw} kernel exceeds the {h}x{w} input")
         oh = (h - kh) // stride + 1
         ow = (w - kw) // stride + 1
         out = self.alloc((out_ch, oh, ow), "conv2d")

@@ -9,11 +9,15 @@ address space (§V-C).  This module makes that concrete and functional:
 * per half-layer, the host writes the normalized activations into every
   device's input buffer **over CXL.mem line writes**, launches each
   device's acceleration code through its driver, reads the partial
-  results back over CXL.mem, and reduces them in host software —
+  results back from its output buffer over CXL.mem, and reduces them
+  in host software —
   exactly the "host CPU orchestrates the device-to-device
   communications" flow;
-* the host-side glue (LayerNorm, residuals, reduction, LM head) uses the
-  same float32 primitives as the golden model.
+* that acceleration code is the single-device compiler's own
+  attention or FFN block (:class:`StageCompiler`), emitted over the
+  shard's layout with its local head count and FFN width;
+* the host-side glue (LayerNorm, residuals, reduction, biases after the
+  reduce, LM head) uses the same float32 primitives as the golden model.
 
 Integration tests drive a 2- and 4-way sharded tiny GPT and assert the
 generated tokens match the single-device reference.
@@ -21,38 +25,39 @@ generated tokens match the single-device reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerator import isa
-from repro.accelerator.memory import DeviceMemory, Region
+from repro.accelerator.compiler import ModelLayout, StageCompiler
+from repro.accelerator.memory import ALIGNMENT, DeviceMemory
+from repro.accelerator.registers import RegisterAllocator
 from repro.cxl.memdev import FunctionalCxlDevice
 from repro.errors import ConfigurationError, ParallelismError
-from repro.llm.config import LLMConfig
 from repro.llm.reference import LN_EPS, ModelWeights, layernorm
 from repro.runtime.driver import CxlPnmDriver
-from repro.units import MiB
-
 
 def _shard_cols(d: int, rank: int, degree: int) -> slice:
     width = d // degree
     return slice(rank * width, (rank + 1) * width)
 
 
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // ALIGNMENT) * ALIGNMENT
+
+
 @dataclass
 class _DeviceShard:
-    """One device's state: memory, driver, CXL front end, and layout."""
+    """One device's state: memory, driver, CXL front end, and the
+    compiler over its shard layout."""
 
     memory: DeviceMemory
     driver: CxlPnmDriver
     cxl: FunctionalCxlDevice
-    regions: Dict[str, Region]
-
-    def addr(self, name: str) -> int:
-        return self.regions[name].addr
+    compiler: StageCompiler
 
 
 class TensorParallelSession:
@@ -77,11 +82,6 @@ class TensorParallelSession:
         self._d_local = config.d_model // degree
         self._dff_local = config.d_ff // degree
         self._heads_local = config.num_heads // degree
-        if memory_bytes == 0:
-            per_device = (config.param_bytes * 2 // degree
-                          + 4 * config.max_seq_len * config.d_model * 4
-                          + 8 * MiB)
-            memory_bytes = int(per_device * 1.5)
         self.devices = [self._build_shard(rank, memory_bytes)
                         for rank in range(degree)]
         self._context_len = 0
@@ -91,40 +91,46 @@ class TensorParallelSession:
     # -- shard construction ---------------------------------------------------
 
     def _build_shard(self, rank: int, memory_bytes: int) -> _DeviceShard:
-        cfg, w = self.config, self.weights
-        d = cfg.d_model
-        memory = DeviceMemory(memory_bytes)
-        regions: Dict[str, Region] = {}
+        """Place one device's slice of every layer: its heads' QKV columns
+        and projection rows, its FFN columns, and its KV-cache shard.
 
-        def put(name: str, tensor: np.ndarray) -> None:
-            regions[name] = memory.store_named(name, tensor)
-
-        for i, layer in enumerate(w.layers):
+        ``memory_bytes=0`` sizes the device to exactly what it holds.
+        """
+        cfg = self.config
+        d, hd = cfg.d_model, cfg.head_dim
+        heads = _shard_cols(cfg.num_heads, rank, self.degree)
+        col0, col1 = heads.start * hd, heads.stop * hd
+        qkv_cols = np.r_[col0:col1, d + col0:d + col1,
+                         2 * d + col0:2 * d + col1]
+        ff = _shard_cols(cfg.d_ff, rank, self.degree)
+        tensors: Dict[str, np.ndarray] = {}
+        buffers: Dict[str, Tuple[int, int]] = {}
+        for i, layer in enumerate(self.weights.layers):
             prefix = f"layer{i}."
-            heads = _shard_cols(cfg.num_heads, rank, self.degree)
-            hd = cfg.head_dim
-            col0, col1 = heads.start * hd, heads.stop * hd
-            qkv_cols = np.r_[col0:col1, d + col0:d + col1,
-                             2 * d + col0:2 * d + col1]
-            put(prefix + "w_qkv", layer.w_qkv[:, qkv_cols])
-            put(prefix + "b_qkv", layer.b_qkv[qkv_cols])
-            put(prefix + "w_proj", layer.w_proj[col0:col1, :])
-            ff = _shard_cols(cfg.d_ff, rank, self.degree)
-            put(prefix + "w_fc1", layer.w_fc1[:, ff])
-            put(prefix + "b_fc1", layer.b_fc1[ff])
-            put(prefix + "w_fc2", layer.w_fc2[ff, :])
-            regions[prefix + "kcache"] = memory.alloc_tensor(
-                prefix + "kcache", (cfg.max_seq_len, self._d_local))
-            regions[prefix + "vcache"] = memory.alloc_tensor(
-                prefix + "vcache", (cfg.max_seq_len, self._d_local))
-        regions["input_buffer"] = memory.alloc_tensor(
-            "input_buffer", (cfg.max_seq_len, d))
-        regions["partial_buffer"] = memory.alloc_tensor(
-            "partial_buffer", (cfg.max_seq_len, max(d, self._dff_local)))
+            tensors[prefix + "w_qkv"] = layer.w_qkv[:, qkv_cols]
+            tensors[prefix + "b_qkv"] = layer.b_qkv[qkv_cols]
+            tensors[prefix + "w_proj"] = layer.w_proj[col0:col1, :]
+            tensors[prefix + "w_fc1"] = layer.w_fc1[:, ff]
+            tensors[prefix + "b_fc1"] = layer.b_fc1[ff]
+            tensors[prefix + "w_fc2"] = layer.w_fc2[ff, :]
+            for which in ("kcache", "vcache"):
+                buffers[prefix + which] = (cfg.max_seq_len, self._d_local)
+        # The host broadcasts activations into the input buffer and reads
+        # the shard's partial sums from the output buffer (§VI).
+        buffers["input_buffer"] = (cfg.max_seq_len, d)
+        buffers["output_buffer"] = (cfg.max_seq_len, d)
+        memory = DeviceMemory(memory_bytes or (
+            sum(_aligned(t.size * 4) for t in tensors.values())
+            + sum(_aligned(rows * cols * 4)
+                  for rows, cols in buffers.values())))
+        regions = {name: memory.store_named(name, t)
+                   for name, t in tensors.items()}
+        regions.update((name, memory.alloc_tensor(name, shape))
+                       for name, shape in buffers.items())
         driver = CxlPnmDriver(memory)
         cxl = FunctionalCxlDevice(memory, control=driver.control)
         return _DeviceShard(memory=memory, driver=driver, cxl=cxl,
-                            regions=regions)
+                            compiler=StageCompiler(ModelLayout(cfg, regions)))
 
     # -- host orchestration ----------------------------------------------------
 
@@ -132,142 +138,45 @@ class TensorParallelSession:
     def context_len(self) -> int:
         return self._context_len
 
-    def _broadcast(self, tensor: np.ndarray) -> None:
-        """Host writes activations into every device over CXL.mem."""
+    def _half_layer(self, h: np.ndarray,
+                    block: Callable[..., Tuple[str, Tuple[str, ...]]]
+                    ) -> np.ndarray:
+        """Run one half-layer ``block`` on every shard; return the sum.
+
+        ``block`` is :meth:`StageCompiler.attention` or
+        :meth:`StageCompiler.ffn` with its geometry bound, called as
+        ``block(compiler, h=..., regs=..., code=...)``.
+
+        The host writes ``h`` into every device's input buffer over
+        CXL.mem, each device runs its slice of the block on its own
+        weights and stores its partial to its output buffer, and the
+        host reads the partials back and reduces them: the "all-reduce"
+        of §V-C, performed by the host through the unified map.
+        """
+        m, d = h.shape
+        total = np.zeros((m, d), dtype=np.float32)
         for shard in self.devices:
+            layout = shard.compiler.layout
             self.host_cxl_writes += shard.cxl.host_store_tensor(
-                shard.addr("input_buffer"), tensor)
-
-    def _launch(self, shard: _DeviceShard,
-                code: Sequence[isa.Instruction]) -> None:
-        shard.driver.program(tuple(code))
-        shard.driver.launch()
-        shard.driver.acknowledge()
-
-    def _gather_partials(self, m: int, cols: int) -> np.ndarray:
-        """Host reads each device's partial and reduces (the 'all-reduce'
-        of §V-C, performed by the host through the unified map)."""
-        total = np.zeros((m, cols), dtype=np.float32)
-        for shard in self.devices:
-            partial = shard.cxl.host_load_tensor(
-                shard.addr("partial_buffer"), (m, cols))
-            self.host_cxl_reads += -(-partial.nbytes // 64)
-            total = total + partial
+                layout.input_region.addr, h)
+            regs = RegisterAllocator()
+            act = regs.matrix()
+            code: List[isa.Instruction] = [
+                isa.DmaLoad(dst=act, addr=layout.input_region.addr,
+                            shape=(m, d))]
+            out, temps = block(shard.compiler, h=act, regs=regs, code=code)
+            code.append(isa.DmaStore(src=out,
+                                     addr=layout.output_region.addr,
+                                     shape=(m, d)))
+            code.append(isa.Free(regs=(act, *temps, out)))
+            shard.driver.program(tuple(code))
+            shard.driver.launch()
+            shard.driver.acknowledge()
+            partial_sum = shard.cxl.host_load_tensor(
+                layout.output_region.addr, (m, d))
+            self.host_cxl_reads += -(-partial_sum.nbytes // 64)
+            total = total + partial_sum
         return total
-
-    def _attention_half_layer(self, layer: int, h: np.ndarray,
-                              ctx_prev: int) -> np.ndarray:
-        cfg = self.config
-        m, d = h.shape
-        ctx = ctx_prev + m
-        self._broadcast(h)
-        for shard in self.devices:
-            prefix = f"layer{layer}."
-            dl = self._d_local
-            row_bytes = dl * 4
-            code: List[isa.Instruction] = [
-                isa.DmaLoad(dst="m0", addr=shard.addr("input_buffer"),
-                            shape=(m, d)),
-            ]
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst="m1", act="m0",
-                    weight_addr=shard.addr(prefix + "w_qkv"),
-                    m=m, k=d, n=3 * dl))
-            else:
-                code.append(isa.MpuMv(
-                    dst="m1", act="m0",
-                    weight_addr=shard.addr(prefix + "w_qkv"),
-                    k=d, n=3 * dl))
-            code.extend([
-                isa.VpuBias(dst="m1", src="m1",
-                            bias_addr=shard.addr(prefix + "b_qkv"),
-                            n=3 * dl),
-                isa.VpuSlice(dst="m2", src="m1", start=0, stop=dl),
-                isa.VpuSlice(dst="m3", src="m1", start=dl, stop=2 * dl),
-                isa.VpuSlice(dst="m4", src="m1", start=2 * dl,
-                             stop=3 * dl),
-                isa.DmaStore(src="m3",
-                             addr=shard.addr(prefix + "kcache")
-                             + ctx_prev * row_bytes, shape=(m, dl)),
-                isa.DmaStore(src="m4",
-                             addr=shard.addr(prefix + "vcache")
-                             + ctx_prev * row_bytes, shape=(m, dl)),
-                isa.MpuMaskedMm(dst="m5", q="m2",
-                                k_addr=shard.addr(prefix + "kcache"),
-                                heads=self._heads_local,
-                                head_dim=cfg.head_dim, ctx=ctx, m=m,
-                                scale=1.0 / math.sqrt(cfg.head_dim),
-                                mask_offset=ctx_prev, rowmax_dst="v0"),
-                isa.VpuSoftmax(dst="m6", src="m5", rowmax="v0"),
-                isa.MpuAttnContext(dst="m7", probs="m6",
-                                   v_addr=shard.addr(prefix + "vcache"),
-                                   heads=self._heads_local,
-                                   head_dim=cfg.head_dim, ctx=ctx, m=m),
-            ])
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst="m8", act="m7",
-                    weight_addr=shard.addr(prefix + "w_proj"),
-                    m=m, k=dl, n=d))
-            else:
-                code.append(isa.MpuMv(
-                    dst="m8", act="m7",
-                    weight_addr=shard.addr(prefix + "w_proj"),
-                    k=dl, n=d))
-            code.append(isa.DmaStore(src="m8",
-                                     addr=shard.addr("partial_buffer"),
-                                     shape=(m, d)))
-            code.append(isa.Free(regs=("m0", "m1", "m2", "m3", "m4", "m5",
-                                       "m6", "m7", "m8", "v0")))
-            self._launch(shard, code)
-        reduced = self._gather_partials(m, d)
-        return reduced + self.weights.layers[layer].b_proj
-
-    def _ffn_half_layer(self, layer: int, h: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        m, d = h.shape
-        self._broadcast(h)
-        for shard in self.devices:
-            prefix = f"layer{layer}."
-            dffl = self._dff_local
-            code: List[isa.Instruction] = [
-                isa.DmaLoad(dst="m0", addr=shard.addr("input_buffer"),
-                            shape=(m, d)),
-            ]
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst="m1", act="m0",
-                    weight_addr=shard.addr(prefix + "w_fc1"),
-                    m=m, k=d, n=dffl))
-            else:
-                code.append(isa.MpuMv(
-                    dst="m1", act="m0",
-                    weight_addr=shard.addr(prefix + "w_fc1"),
-                    k=d, n=dffl))
-            code.extend([
-                isa.VpuBias(dst="m1", src="m1",
-                            bias_addr=shard.addr(prefix + "b_fc1"),
-                            n=dffl),
-                isa.VpuGelu(dst="m2", src="m1"),
-            ])
-            if m > 1:
-                code.append(isa.MpuMmPea(
-                    dst="m3", act="m2",
-                    weight_addr=shard.addr(prefix + "w_fc2"),
-                    m=m, k=dffl, n=d))
-            else:
-                code.append(isa.MpuMv(
-                    dst="m3", act="m2",
-                    weight_addr=shard.addr(prefix + "w_fc2"),
-                    k=dffl, n=d))
-            code.append(isa.DmaStore(src="m3",
-                                     addr=shard.addr("partial_buffer"),
-                                     shape=(m, d)))
-            code.append(isa.Free(regs=("m0", "m1", "m2", "m3")))
-            self._launch(shard, code)
-        reduced = self._gather_partials(m, d)
-        return reduced + self.weights.layers[layer].b_fc2
 
     def _stage(self, tokens: Sequence[int], ctx_prev: int) -> int:
         cfg, w = self.config, self.weights
@@ -277,11 +186,20 @@ class TensorParallelSession:
         tok = w.token_embedding[np.asarray(tokens, dtype=np.int64)]
         pos = w.position_embedding[ctx_prev:ctx_prev + len(tokens)]
         x = (tok + pos).astype(np.float32)
+        m = len(tokens)
         for i, layer in enumerate(w.layers):
+            prefix = f"layer{i}."
+            # The projection and fc2 biases are added once, on the host,
+            # after the reduce.
+            attention = partial(StageCompiler.attention, prefix=prefix,
+                                rows=m, sequences=1, ctx_prev=ctx_prev,
+                                heads=self._heads_local, proj_bias=None)
+            ffn = partial(StageCompiler.ffn, prefix=prefix, m=m,
+                          d_ff=self._dff_local, fc2_bias=None)
             h = layernorm(x, layer.ln1_gamma, layer.ln1_beta, eps=LN_EPS)
-            x = x + self._attention_half_layer(i, h, ctx_prev)
+            x = x + (self._half_layer(h, attention) + layer.b_proj)
             h = layernorm(x, layer.ln2_gamma, layer.ln2_beta, eps=LN_EPS)
-            x = x + self._ffn_half_layer(i, h)
+            x = x + (self._half_layer(h, ffn) + layer.b_fc2)
         final = layernorm(x[-1:], w.ln_f_gamma, w.ln_f_beta, eps=LN_EPS)
         logits = (final @ w.lm_head)[0]
         return int(np.argmax(logits))

@@ -9,7 +9,7 @@ from repro.accelerator import (
     load_model,
     timing_program,
 )
-from repro.accelerator.compiler import batched_timing_program
+from repro.accelerator.compiler import batched_timing_program, matmul_instr
 from repro.errors import CapacityError, ConfigurationError
 from repro.llm import OPT_1_3B, random_weights, tiny_config
 from repro.units import KiB, MiB
@@ -90,6 +90,22 @@ class TestStageStructure:
         compiler = StageCompiler(loaded_layout)
         isa.validate_program(compiler.compile_sum_stage([1, 2]))
         isa.validate_program(compiler.compile_gen_stage(0, context_len=3))
+
+
+class TestMatmulInstr:
+    def test_datapath_follows_row_count(self):
+        assert matmul_instr("m1", "m0", 0, 1, 8, 4) \
+            == isa.MpuMv(dst="m1", act="m0", weight_addr=0, k=8, n=4)
+        assert matmul_instr("m1", "m0", 0, 3, 8, 4) \
+            == isa.MpuMmPea(dst="m1", act="m0", weight_addr=0, m=3, k=8,
+                            n=4)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_scale_address_selects_int8(self, m):
+        instr = matmul_instr("m1", "m0", 0, m, 8, 4, scale_addr=64,
+                             bias_addr=128)
+        assert (instr.dtype, instr.scale_addr, instr.bias_addr) \
+            == ("int8", 64, 128)
 
 
 class TestStageErrors:

@@ -160,6 +160,13 @@ class TestLibrary:
             library.add(a, b)
         with pytest.raises(ConfigurationError):
             library.conv1d(a, b)
+        image = library.from_numpy(np.ones((1, 2, 2), dtype=np.float32))
+        kernel3 = library.from_numpy(np.ones((1, 1, 3, 3), dtype=np.float32))
+        with pytest.raises(ConfigurationError):
+            library.conv2d(image, kernel3)
+        kernel2 = library.from_numpy(np.ones((1, 1, 2, 2), dtype=np.float32))
+        with pytest.raises(ConfigurationError):
+            library.conv2d(image, kernel2, stride=0)
 
 
 class TestSession:

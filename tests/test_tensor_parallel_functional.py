@@ -8,6 +8,7 @@ transactions — generates the same tokens as the single-device reference.
 
 import pytest
 
+from repro.analysis.verifier import verify_program
 from repro.errors import ConfigurationError, ParallelismError
 from repro.llm import ReferenceModel, random_weights, tiny_config
 from repro.runtime.tensor_parallel import TensorParallelSession
@@ -67,6 +68,30 @@ class TestOrchestration:
         session = TensorParallelSession(weights, degree=2)
         session.generate([1, 2, 3], 4)
         assert session.context_len == 3 + 3  # prompt + fed-back tokens
+
+    def test_shard_programs_verify_clean(self, setup):
+        weights, _ = setup
+        session = TensorParallelSession(weights, degree=2)
+        reports = []
+        for shard in session.devices:
+            def program(code, _shard=shard, _program=shard.driver.program):
+                reports.append(verify_program(
+                    code, layout=_shard.compiler.layout))
+                return _program(code)
+            shard.driver.program = program
+        session.generate([1, 2, 3], 3)
+        # 2 shards x 3 stages x 2 layers x 2 half-layers.
+        assert len(reports) == 24
+        for report in reports:
+            assert report.clean, report.render()
+
+    def test_default_memory_fits_deep_long_model(self):
+        cfg = tiny_config(num_layers=16, max_seq_len=2048)
+        weights = random_weights(cfg, seed=1)
+        session = TensorParallelSession(weights, degree=1)
+        prompt = [5, 6, 7]
+        assert session.generate(prompt, 3) \
+            == ReferenceModel(weights).generate(prompt, 3)
 
     def test_shard_memory_smaller_than_full_model(self, setup):
         weights, _ = setup
