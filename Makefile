@@ -29,11 +29,15 @@ docs:
 	$(PYTHON) tools/check_docs.py
 
 # Deeper program verification than the lint smoke: every geometry the
-# test sweep exercises, plus the batched decode step in JSON form.
+# test sweep exercises, plus the batched decode step at the tiny model's
+# b = 4 and at OPT-13B's b = 64, the largest batch perfbench's
+# serve-steady schedules, in fp16 and int8.
 verify-programs:
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 1
 	$(PYTHON) -m repro lint-program OPT-13B --batch-tokens 64 --ctx-prev 0
 	$(PYTHON) -m repro lint-program tiny --batched 4 --errors-only
+	$(PYTHON) -m repro lint-program OPT-13B --batched 64 --errors-only
+	$(PYTHON) -m repro lint-program OPT-13B --batched 64 --dtype int8 --errors-only
 
 # Cold-process benchmark (perfbench/README.md): every workload in
 # BENCHMARK.json, seed 1, about 20 s of children each, untraced.

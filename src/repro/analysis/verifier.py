@@ -31,6 +31,7 @@ which is exactly what PNM204 describes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.accelerator import isa
@@ -125,6 +126,60 @@ def _find_region(regions, addr: int):
     return None
 
 
+class _StoreCover:
+    """Bytes stored since the last barrier, each labelled by its first store.
+
+    Disjoint ``[starts[i], ends[i])`` ranges sorted by start; ``labels[i]``
+    is the index of the earliest store covering that whole range.  A new
+    store paints only the gaps no earlier store covers, so the smallest
+    label among the ranges a window meets is the earliest earlier store
+    that overlaps the window.  Compiler output re-stores a few dozen
+    distinct windows, so each store costs two bisections and a short scan
+    instead of a walk over every store since the barrier.
+    """
+
+    __slots__ = ("starts", "ends", "labels")
+
+    def __init__(self) -> None:
+        self.starts: List[int] = []
+        self.ends: List[int] = []
+        self.labels: List[int] = []
+
+    def clear(self) -> None:
+        self.starts.clear()
+        self.ends.clear()
+        self.labels.clear()
+
+    def add(self, idx: int, addr: int, end: int) -> Optional[int]:
+        """Record store ``idx`` over ``[addr, end)``; return the earliest
+        earlier store it overlaps, or ``None``."""
+        starts, ends, labels = self.starts, self.ends, self.labels
+        lo = bisect_right(ends, addr)
+        hi = bisect_left(starts, end)
+        first = min(labels[lo:hi]) if lo < hi else None
+        new_starts: List[int] = []
+        new_ends: List[int] = []
+        new_labels: List[int] = []
+        cursor = addr
+        for i in range(lo, hi):
+            if cursor < starts[i]:
+                new_starts.append(cursor)
+                new_ends.append(starts[i])
+                new_labels.append(idx)
+            new_starts.append(starts[i])
+            new_ends.append(ends[i])
+            new_labels.append(labels[i])
+            cursor = ends[i]
+        if cursor < end:
+            new_starts.append(cursor)
+            new_ends.append(end)
+            new_labels.append(idx)
+        starts[lo:hi] = new_starts
+        ends[lo:hi] = new_ends
+        labels[lo:hi] = new_labels
+        return first
+
+
 def address_diagnostics(program, *, layout=None,
                         memory_capacity: Optional[int] = None
                         ) -> List[Diagnostic]:
@@ -137,8 +192,7 @@ def address_diagnostics(program, *, layout=None,
         bound = max(r.end for r in regions)
     else:
         bound = DEFAULT_ADDRESS_SPACE
-    #: store windows seen since the last barrier: (index, addr, nbytes)
-    stores: List[Tuple[int, int, int]] = []
+    stores = _StoreCover()
     for idx, instr in enumerate(program):
         if isinstance(instr, isa.Barrier):
             stores.clear()
@@ -186,18 +240,14 @@ def address_diagnostics(program, *, layout=None,
                         f"store into read-only region '{region.name}'",
                         location=loc, index=idx, source=op))
             if kind == "store" and nbytes > 0:
-                for prev_idx, prev_addr, prev_bytes in stores:
-                    if addr < prev_addr + prev_bytes \
-                            and prev_addr < addr + nbytes:
-                        diags.append(Diagnostic(
-                            "PNM204", Severity.WARNING,
-                            f"store window [{addr:#x}, "
-                            f"{addr + nbytes:#x}) overlaps the store at "
-                            f"program[{prev_idx}] with no intervening "
-                            f"barrier",
-                            location=loc, index=idx, source=op))
-                        break
-                stores.append((idx, addr, nbytes))
+                prev_idx = stores.add(idx, addr, addr + nbytes)
+                if prev_idx is not None:
+                    diags.append(Diagnostic(
+                        "PNM204", Severity.WARNING,
+                        f"store window [{addr:#x}, {addr + nbytes:#x}) "
+                        f"overlaps the store at program[{prev_idx}] with "
+                        f"no intervening barrier",
+                        location=loc, index=idx, source=op))
     return diags
 
 

@@ -18,7 +18,7 @@ analog: tests assert agreement with the independent analytical model of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.accelerator import isa
 from repro.accelerator.device import CXLPNMDevice

@@ -7,8 +7,11 @@ must each yield the expected diagnostic code *at the expected
 instruction index*.  Second, the property the verifier exists to
 enforce: every program the shipped compiler emits, across a
 batch/context sweep and through the ``ProgramCache`` patching fast
-path, verifies clean.
+path, verifies clean.  A differential check holds the indexed PNM204
+store-overlap scan to the quadratic loop it replaced.
 """
+
+import random
 
 import pytest
 
@@ -21,10 +24,13 @@ from repro.accelerator.compiler import (
     timing_program,
 )
 from repro.analysis import (
+    DEFAULT_ADDRESS_SPACE,
     AnalysisReport,
     Severity,
+    address_diagnostics,
     analyze_program,
     infer_shapes,
+    memory_windows,
     register_pressure,
     verify_program,
 )
@@ -93,6 +99,21 @@ class TestKnownBadPrograms:
         diags = report.by_code("PNM204")
         assert len(diags) == 1
         assert diags[0].index == 2
+        assert "program[1]" in diags[0].message
+
+    def test_overlap_names_earliest_store(self):
+        # The last store covers three disjoint earlier stores; the
+        # earliest of them, program[1], sits at the highest address.
+        program = (
+            _load("m0", shape=(4, 4)),
+            isa.DmaStore(src="m0", addr=512, shape=(4,)),
+            isa.DmaStore(src="m0", addr=0, shape=(4,)),
+            isa.DmaStore(src="m0", addr=256, shape=(4,)),
+            isa.DmaStore(src="m0", addr=0, shape=(4, 4, 9)),
+            isa.Free(regs=("m0",)),
+        )
+        diags = verify_program(program).by_code("PNM204")
+        assert [d.index for d in diags] == [4]
         assert "program[1]" in diags[0].message
 
     def test_barrier_separates_store_windows(self):
@@ -367,6 +388,109 @@ class TestValidateProgramAddressRegression:
         cfg = tiny_config()
         program = timing_program(cfg, batch_tokens=1, ctx_prev=2)
         isa.validate_program(program)  # should not raise
+
+
+def _reference_address_diagnostics(program, bound):
+    """Layout-free PNM201-PNM204 by the quadratic scan: each store is
+    compared with every store since the last barrier, in program order."""
+    diags = []
+    stores = []
+    for idx, instr in enumerate(program):
+        if isinstance(instr, isa.Barrier):
+            stores.clear()
+            continue
+        for addr, nbytes, kind in memory_windows(instr):
+            if addr < 0:
+                diags.append(("PNM201", idx,
+                              f"negative device address {addr}"))
+                continue
+            if addr + nbytes > bound:
+                diags.append((
+                    "PNM202", idx,
+                    f"window [{addr:#x}, {addr + nbytes:#x}) exceeds the "
+                    f"device address space ({bound:#x} bytes)"))
+                continue
+            if addr % 4:
+                diags.append(("PNM203", idx,
+                              f"address {addr:#x} is not 4-byte aligned"))
+            if kind == "store" and nbytes > 0:
+                for prev_idx, prev_addr, prev_bytes in stores:
+                    if addr < prev_addr + prev_bytes \
+                            and prev_addr < addr + nbytes:
+                        diags.append((
+                            "PNM204", idx,
+                            f"store window [{addr:#x}, {addr + nbytes:#x}) "
+                            f"overlaps the store at program[{prev_idx}] "
+                            f"with no intervening barrier"))
+                        break
+                stores.append((idx, addr, nbytes))
+    return diags
+
+
+def _random_store_program(rng, length=80):
+    """Stores over a 1 KiB space: partial, nested and spanning windows,
+    zero-byte stores, barriers, loads, and negative, out-of-bounds and
+    misaligned windows."""
+    program = [_load("m0", shape=(4,))]
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.05:
+            program.append(isa.Barrier())
+        elif roll < 0.10:
+            program.append(isa.DmaStore(src="m0", addr=rng.randrange(1024)))
+        elif roll < 0.15:
+            program.append(_load("m1", addr=4 * rng.randrange(200),
+                                 shape=(rng.randint(1, 16),)))
+        else:
+            addr = 4 * rng.randrange(-4, 260)
+            if rng.random() < 0.05:
+                addr += rng.randint(1, 3)
+            elems = rng.choice((1, 2, 4, 8, rng.randint(1, 64),
+                                rng.randint(64, 200)))
+            program.append(isa.DmaStore(src="m0", addr=addr,
+                                        shape=(elems,)))
+    return tuple(program)
+
+
+def _triples(diags):
+    return [(d.code, d.index, d.message) for d in diags]
+
+
+class TestStoreOverlapDifferential:
+    """PNM204 from the indexed scan matches the quadratic reference."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_store_programs(self, seed):
+        program = _random_store_program(random.Random(seed))
+        got = _triples(address_diagnostics(program, memory_capacity=1024))
+        assert got == _reference_address_diagnostics(program, 1024)
+        assert any(code == "PNM204" for code, _, _ in got)
+
+    def test_spanning_store_over_gaps(self):
+        program = (
+            _load("m0", shape=(4,)),
+            isa.DmaStore(src="m0", addr=64, shape=(4,)),
+            isa.DmaStore(src="m0", addr=8, shape=(2,)),
+            isa.DmaStore(src="m0", addr=128, shape=(8,)),
+            isa.DmaStore(src="m0", addr=0, shape=(64,)),   # spans all three
+            isa.DmaStore(src="m0", addr=40, shape=(2,)),   # a painted gap
+            isa.DmaStore(src="m0", addr=68, shape=(1,)),   # nested
+            isa.DmaStore(src="m0", addr=252, shape=(4,)),  # partial
+        )
+        got = _triples(address_diagnostics(program))
+        assert got == _reference_address_diagnostics(
+            program, DEFAULT_ADDRESS_SPACE)
+        assert [msg.rsplit("program[", 1)[1].split("]")[0]
+                for _, _, msg in got] == ["1", "4", "1", "4"]
+
+    @pytest.mark.parametrize("quantize", [None, "int8"])
+    def test_batched_opt13b_programs(self, quantize):
+        program = batched_timing_program(get_model("OPT-13B"), 8, 576,
+                                         quantize=quantize)
+        got = _triples(address_diagnostics(program))
+        assert got == _reference_address_diagnostics(
+            program, DEFAULT_ADDRESS_SPACE)
+        assert len(got) > 0
 
 
 class TestReportModel:
