@@ -28,15 +28,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.accelerator import CXLPNMDevice
-from repro.appliance import (
-    ContinuousBatchScheduler,
-    RequestScheduler,
-    timer_service,
-)
+from repro.appliance import PnmAppliance, RequestScheduler, timer_service
 from repro.llm import OPT_13B, InferenceRequest
 from repro.llm.workload import sampled_workload, steady_arrivals
-from repro.perf.analytical import BatchStepTimer, PnmPerfModel
 
 RESULTS = Path(__file__).resolve().parent / "results" / \
     "BENCH_continuous.json"
@@ -45,14 +39,14 @@ REQUESTS = [InferenceRequest(64, 64, request_id=i) for i in range(24)]
 RATE_PER_S = 2.0  # ~4x one exclusive CXL-PNM instance's capacity
 ARRIVALS = steady_arrivals(len(REQUESTS), RATE_PER_S, seed=3)
 
-_DEVICE = CXLPNMDevice()
-_PERF = PnmPerfModel(_DEVICE)
+_PNM = PnmAppliance(num_devices=1)
+_PERF = _PNM.perf_model
 
 
 def test_serve_fcfs_exclusive(benchmark):
     scheduler = RequestScheduler(
         timer_service(OPT_13B, _PERF), num_instances=1, config=OPT_13B,
-        memory_bytes=_DEVICE.memory_capacity)
+        memory_bytes=_PNM.memory_bytes)
     stats = benchmark(scheduler.run, REQUESTS, ARRIVALS)
     benchmark.extra_info["throughput_tok_s"] = round(
         stats.throughput_tokens_per_s, 1)
@@ -61,13 +55,7 @@ def test_serve_fcfs_exclusive(benchmark):
 
 
 def test_serve_continuous_batching(benchmark):
-    def _run():
-        engine = ContinuousBatchScheduler(
-            BatchStepTimer(OPT_13B, _PERF), OPT_13B,
-            _DEVICE.memory_capacity)
-        return engine.run(REQUESTS, ARRIVALS)
-
-    stats = benchmark(_run)
+    stats = benchmark(_PNM.serve, OPT_13B, REQUESTS, ARRIVALS)
     benchmark.extra_info["throughput_tok_s"] = round(
         stats.throughput_tokens_per_s, 1)
     benchmark.extra_info["mean_ttft_s"] = round(stats.mean_ttft_s, 3)
@@ -76,19 +64,17 @@ def test_serve_continuous_batching(benchmark):
     # FCFS-exclusive on the identical arrival process.
     fcfs = RequestScheduler(
         timer_service(OPT_13B, _PERF), num_instances=1,
-        config=OPT_13B, memory_bytes=_DEVICE.memory_capacity
+        config=OPT_13B, memory_bytes=_PNM.memory_bytes
     ).run(REQUESTS, ARRIVALS)
     assert stats.throughput_tokens_per_s > fcfs.throughput_tokens_per_s
 
 
 def _serve(requests, arrivals, devices, max_batch):
     """One timed run; returns (wall_seconds, stats)."""
-    scheduler = ContinuousBatchScheduler(
-        BatchStepTimer(OPT_13B, _PERF), OPT_13B,
-        _DEVICE.memory_capacity, max_batch=max_batch,
-        num_devices=devices)
+    appliance = PnmAppliance(num_devices=devices)
     start = time.perf_counter()
-    stats = scheduler.run(requests, arrivals)
+    stats = appliance.serve(OPT_13B, requests, arrivals,
+                            max_batch=max_batch)
     return time.perf_counter() - start, stats
 
 

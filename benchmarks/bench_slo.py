@@ -26,20 +26,14 @@ import sys
 import time
 from pathlib import Path
 
-from repro.accelerator import CXLPNMDevice
-from repro.appliance import (
-    ContinuousBatchScheduler,
-    TenantClass,
-    timer_service,
-)
+from repro.appliance import PnmAppliance, TenantClass, timer_service
 from repro.llm import OPT_13B, InferenceRequest
 from repro.llm.workload import arrivals_for_shape, multi_tenant_workload
-from repro.perf.analytical import BatchStepTimer, PnmPerfModel
+from repro.perf.analytical import BatchStepTimer
 
 RESULTS = Path(__file__).resolve().parent / "results" / "BENCH_slo.json"
 
-_DEVICE = CXLPNMDevice()
-_PERF = PnmPerfModel(_DEVICE)
+_PERF = PnmAppliance().perf_model
 CLASS_NAMES = ("interactive", "batch")
 SEED = 11
 
@@ -65,17 +59,18 @@ def _stream(num_requests: int, devices: int, seed: int = SEED):
     return requests, arrivals
 
 
-def _engine(devices: int, multi_tenant: bool) -> ContinuousBatchScheduler:
-    step = BatchStepTimer(OPT_13B, _PERF)
-    return ContinuousBatchScheduler(
-        step, OPT_13B, _DEVICE.memory_capacity, num_devices=devices,
+def _serve(requests, arrivals, devices: int, multi_tenant: bool):
+    appliance = PnmAppliance(num_devices=devices)
+    step = appliance.step_timer(OPT_13B)
+    return appliance.serve(
+        OPT_13B, requests, arrivals, step=step,
         classes=_classes(step) if multi_tenant else None,
         slo_admission=multi_tenant)
 
 
 def test_serve_single_class_baseline(benchmark):
     requests, arrivals = _stream(64, devices=2)
-    stats = benchmark(lambda: _engine(2, False).run(requests, arrivals))
+    stats = benchmark(_serve, requests, arrivals, 2, False)
     benchmark.extra_info["throughput_tok_s"] = round(
         stats.throughput_tokens_per_s, 1)
     assert not stats.rejected
@@ -83,7 +78,7 @@ def test_serve_single_class_baseline(benchmark):
 
 def test_serve_multi_tenant_slo(benchmark):
     requests, arrivals = _stream(64, devices=2)
-    stats = benchmark(lambda: _engine(2, True).run(requests, arrivals))
+    stats = benchmark(_serve, requests, arrivals, 2, True)
     cells = stats.class_breakdown()
     benchmark.extra_info["goodput_tok_s"] = round(
         stats.goodput_tokens_per_s, 1)
@@ -110,9 +105,8 @@ def main(argv=None) -> int:
 
     requests, arrivals = _stream(args.requests, args.devices,
                                  seed=args.seed)
-    engine = _engine(args.devices, True)
     start = time.perf_counter()
-    stats = engine.run(requests, arrivals)
+    stats = _serve(requests, arrivals, args.devices, True)
     wall_s = time.perf_counter() - start
 
     print(f"slo front end: {args.requests} requests x {args.devices} "

@@ -202,9 +202,9 @@ def _parse_tenant_class(spec: str):
 
 
 def _cmd_serve(args) -> int:
-    from repro.accelerator import CXLPNMDevice
     from repro.appliance import (
-        ContinuousBatchScheduler,
+        GpuAppliance,
+        PnmAppliance,
         RequestScheduler,
         timer_service,
     )
@@ -216,25 +216,19 @@ def _cmd_serve(args) -> int:
         write_trace,
         zipf_tenants,
     )
-    from repro.perf.analytical import BatchStepTimer, PnmPerfModel
     config = get_model(args.model)
-    if args.device == "pnm":
-        device = CXLPNMDevice()
-        perf = PnmPerfModel(device)
-        memory = device.memory_capacity
-    else:
-        perf = GpuPerfModel(A100_40G)
-        memory = A100_40G.memory_bytes
-    if args.memory_gb is not None:
-        memory = int(args.memory_gb * GB)
+    appliance = PnmAppliance(num_devices=args.devices) \
+        if args.device == "pnm" \
+        else GpuAppliance(A100_40G, num_devices=args.devices)
+    perf = appliance.perf_model
+    memory = appliance.memory_bytes if args.memory_gb is None \
+        else int(args.memory_gb * GB)
     classes = [_parse_tenant_class(spec) for spec in args.tenant_classes]
     class_names = [tc.name for tc in classes] or [DEFAULT_TENANT_CLASS]
     service = timer_service(config, perf)
     if args.trace_file:
         requests, arrivals = read_trace(args.trace_file)
         source = f"trace {args.trace_file}"
-        rate = len(requests) / arrivals[-1] if arrivals and arrivals[-1] \
-            else 0.0
     else:
         tenants = zipf_tenants(args.requests, max(1, args.tenants),
                                skew=args.zipf, seed=args.seed) \
@@ -265,21 +259,16 @@ def _cmd_serve(args) -> int:
             print("error: --step-model sim requires --device pnm")
             return 2
         from repro.appliance import simulated_step_model
-        step = simulated_step_model(config, device=device,
+        step = simulated_step_model(config, device=appliance.device,
                                     quantize=quantize)
     else:
-        # Analytical models take the halved weight stream through a
-        # quantized config copy; admission budgets stay on `config`
-        # (KV caches keep their full width).
-        step_config = config.with_dtype(1) if quantize else config
-        step = BatchStepTimer(step_config, perf)
-    engine = ContinuousBatchScheduler(
-        step, config, memory, max_batch=args.max_batch,
-        num_devices=args.devices, classes=classes or None,
+        step = appliance.step_timer(config, quantize)
+    stats = appliance.serve(
+        config, requests, arrivals, step=step, memory_bytes=memory,
+        max_batch=args.max_batch, classes=classes or None,
         slo_admission=args.slo)
     name = "continuous" if args.devices == 1 \
         else f"continuous x{args.devices}"
-    stats = engine.run(requests, arrivals)
     runs.append((name, stats))
     print(f"{config.name} on {perf.name}: {len(requests)} requests, "
           f"{source}, memory {memory / GB:.0f} GB")

@@ -27,13 +27,10 @@ per-iteration batch spans and per-request slot timelines.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
-from repro.accelerator.device import CXLPNMDevice
-from repro.appliance.continuous import (
-    ContinuousBatchScheduler,
-    ContinuousBatchStats,
-)
+from repro.appliance.cluster import Appliance, GpuAppliance, PnmAppliance
+from repro.appliance.continuous import ContinuousBatchStats
 from repro.appliance.scheduler import (
     RequestScheduler,
     ServiceStats,
@@ -48,11 +45,6 @@ from repro.llm.workload import (
     PAPER_INPUT_TOKENS,
     InferenceRequest,
     steady_arrivals,
-)
-from repro.perf.analytical import (
-    BatchStepTimer,
-    GpuPerfModel,
-    PnmPerfModel,
 )
 from repro.tco.energy import daily_weight_traffic_bytes
 
@@ -73,35 +65,35 @@ def _workload() -> List[InferenceRequest]:
             for i in range(NUM_REQUESTS)]
 
 
-def compare_device(perf_model, memory_bytes: int,
-                   max_batch: int = None
+def compare_device(appliance: Appliance,
+                   memory_bytes: Optional[int] = None,
+                   max_batch: Optional[int] = None
                    ) -> "tuple[ServiceStats, ContinuousBatchStats, float]":
-    """Run both schedulers on one device; returns (fcfs, continuous, rate)."""
+    """Run both schedulers on a one-device ``appliance`` (its own
+    memory unless ``memory_bytes`` is given); returns (fcfs, continuous,
+    rate)."""
     requests = _workload()
-    service = timer_service(MODEL, perf_model)
+    service = timer_service(MODEL, appliance.perf_model)
     rate = OVERLOAD_FACTOR / service(requests[0])
     arrivals = steady_arrivals(NUM_REQUESTS, rate, seed=ARRIVAL_SEED)
+    memory = appliance.memory_bytes if memory_bytes is None \
+        else memory_bytes
     fcfs = RequestScheduler(service, num_instances=1, config=MODEL,
-                            memory_bytes=memory_bytes
-                            ).run(requests, arrivals)
-    step = BatchStepTimer(MODEL, perf_model)
-    continuous = ContinuousBatchScheduler(
-        step, MODEL, memory_bytes, max_batch=max_batch
-    ).run(requests, arrivals)
+                            memory_bytes=memory).run(requests, arrivals)
+    continuous = appliance.serve(MODEL, requests, arrivals,
+                                 memory_bytes=memory, max_batch=max_batch)
     return fcfs, continuous, rate
 
 
 def run() -> ExperimentResult:
-    pnm_device = CXLPNMDevice()
-    scenarios = [
-        ("CXL-PNM", PnmPerfModel(pnm_device), pnm_device.memory_capacity),
-        ("A100-40G", GpuPerfModel(A100_40G), A100_40G.memory_bytes),
-    ]
+    pnm = PnmAppliance(num_devices=1)
     total_ctx = PAPER_INPUT_TOKENS + OUTPUT_TOKENS
     rows: List[dict] = []
-    for name, perf, memory in scenarios:
-        fcfs, cont, rate = compare_device(perf, memory)
-        kv_cap = max_batch_for_memory(MODEL, memory, total_ctx)
+    for appliance in (pnm, GpuAppliance(A100_40G, num_devices=1)):
+        name = appliance.perf_model.name
+        fcfs, cont, rate = compare_device(appliance)
+        kv_cap = max_batch_for_memory(MODEL, appliance.memory_bytes,
+                                      total_ctx)
         rows.append({
             "scenario": f"{name} throughput (tok/s), fcfs vs continuous",
             "fcfs": fcfs.throughput_tokens_per_s,
@@ -131,8 +123,7 @@ def run() -> ExperimentResult:
     # Admission control binding: KV room for only STARVED_BATCH requests.
     starved_memory = MODEL.param_bytes + STARVED_BATCH * peak_kv_bytes(
         MODEL, PAPER_INPUT_TOKENS, OUTPUT_TOKENS)
-    _fcfs, starved, _rate = compare_device(
-        PnmPerfModel(pnm_device), starved_memory)
+    _fcfs, starved, _rate = compare_device(pnm, starved_memory)
     rows.append({
         "scenario": "CXL-PNM starved KV: peak occupancy / admission cap",
         "fcfs": float("nan"),
@@ -147,16 +138,13 @@ def run() -> ExperimentResult:
     # halved weight stream lifts service throughput; admission budgets
     # stay on the unquantized config (KV caches keep full width).
     requests = _workload()
-    service = timer_service(MODEL, PnmPerfModel(pnm_device))
+    service = timer_service(MODEL, pnm.perf_model)
     rate = OVERLOAD_FACTOR / service(requests[0])
     arrivals = steady_arrivals(NUM_REQUESTS, 4 * rate, seed=ARRIVAL_SEED)
-    dtype_runs = {}
-    for label, cfg in (("fp16", MODEL), ("int8", MODEL.with_dtype(1))):
-        step = BatchStepTimer(cfg, PnmPerfModel(pnm_device))
-        dtype_runs[label] = ContinuousBatchScheduler(
-            step, MODEL, pnm_device.memory_capacity,
-            num_devices=4).run(requests, arrivals)
-    fp16, int8 = dtype_runs["fp16"], dtype_runs["int8"]
+    pnm_x4 = PnmAppliance(num_devices=4)
+    fp16, int8 = (pnm_x4.serve(MODEL, requests, arrivals,
+                               step=pnm_x4.step_timer(MODEL, quantize))
+                  for quantize in (None, "int8"))
     rows.append({
         "scenario": "CXL-PNM x4 throughput (tok/s), fp16 vs int8",
         "fcfs": fp16.throughput_tokens_per_s,

@@ -34,15 +34,12 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.accelerator.compiler import timing_program
 from repro.accelerator.device import CXLPNMDevice
-from repro.appliance.continuous import (
-    ContinuousBatchScheduler,
-    ContinuousBatchStats,
-    TenantClass,
-)
+from repro.appliance.cluster import PnmAppliance
+from repro.appliance.continuous import ContinuousBatchStats, TenantClass
 from repro.cxl.arbiter import ArbitrationPolicy, compare_policies
 from repro.cxl.protocol import CACHELINE_BYTES, Source
 from repro.experiments.report import ExperimentResult
@@ -115,29 +112,20 @@ def slo_classes(step: BatchStepTimer) -> Tuple[TenantClass, ...]:
     )
 
 
-def _slo_cell(step: BatchStepTimer, memory_bytes: int, mix: Sequence[str],
-              shape: str, num_devices: int, rate: float
-              ) -> "Tuple[ContinuousBatchStats, list, list]":
-    """One sweep cell; returns (stats, requests, arrivals) for replay."""
-    requests = multi_tenant_workload(
-        SLO_NUM_REQUESTS, num_tenants=SLO_NUM_TENANTS, skew=SLO_ZIPF_SKEW,
-        class_names=mix, seed=SLO_SEED,
-        mean_input=PAPER_INPUT_TOKENS, mean_output=SLO_OUTPUT_TOKENS)
-    arrivals = arrivals_for_shape(shape, SLO_NUM_REQUESTS,
-                                  rate * num_devices, seed=SLO_SEED)
+def _slo_serve(appliance: PnmAppliance, step: BatchStepTimer,
+               requests: list, arrivals: list) -> ContinuousBatchStats:
+    """Serve one SLO stream with SLO admission on ``appliance``."""
     # The FCFS layer owns the ambient scheduler.* metrics contract
     # (exactly NUM_REQUESTS requests); the sweep keeps its counters out
     # of that registry but still traces spans onto the shared timeline.
-    scheduler = ContinuousBatchScheduler(
-        step, OPT_13B, memory_bytes, num_devices=num_devices,
-        classes=slo_classes(step), slo_admission=True,
-        metrics=NULL_REGISTRY)
-    return scheduler.run(requests, arrivals), requests, arrivals
+    return appliance.serve(
+        OPT_13B, requests, arrivals, step=step, classes=slo_classes(step),
+        slo_admission=True, metrics=NULL_REGISTRY)
 
 
-def _slo_rows(step: BatchStepTimer, memory_bytes: int,
-              rows: List[dict]) -> None:
+def _slo_rows(device: CXLPNMDevice, rows: List[dict]) -> None:
     """Append the SLO sweep and the trace-replay check to ``rows``."""
+    step = PnmAppliance(device).step_timer(OPT_13B)
     single = timer_service(OPT_13B, step.model)
     probe = InferenceRequest(PAPER_INPUT_TOKENS, SLO_OUTPUT_TOKENS)
     rate = SLO_OVERLOAD / single(probe)
@@ -148,8 +136,15 @@ def _slo_rows(step: BatchStepTimer, memory_bytes: int,
     cells.append(("batch-heavy", "flash-crowd", max(SLO_DEVICE_COUNTS)))
     replay_source = None
     for mix_name, shape, devices in cells:
-        stats, requests, arrivals = _slo_cell(
-            step, memory_bytes, SLO_MIXES[mix_name], shape, devices, rate)
+        appliance = PnmAppliance(device, num_devices=devices)
+        requests = multi_tenant_workload(
+            SLO_NUM_REQUESTS, num_tenants=SLO_NUM_TENANTS,
+            skew=SLO_ZIPF_SKEW, class_names=SLO_MIXES[mix_name],
+            seed=SLO_SEED, mean_input=PAPER_INPUT_TOKENS,
+            mean_output=SLO_OUTPUT_TOKENS)
+        arrivals = arrivals_for_shape(shape, SLO_NUM_REQUESTS,
+                                      rate * devices, seed=SLO_SEED)
+        stats = _slo_serve(appliance, step, requests, arrivals)
         label = f"slo {shape}/{mix_name} DP={devices}"
         rows.append({
             "metric": f"{label}: goodput / throughput (tok/s)",
@@ -164,20 +159,17 @@ def _slo_rows(step: BatchStepTimer, memory_bytes: int,
             })
         if (mix_name, shape, devices) == \
                 ("even", "flash-crowd", max(SLO_DEVICE_COUNTS)):
-            replay_source = (stats, requests, arrivals, devices)
+            replay_source = (stats, requests, arrivals, appliance)
 
     # Trace-replay check: round-trip the flash-crowd cell through a
     # JSONL trace file and re-run; the stats must be bit-identical.
-    stats, requests, arrivals, devices = replay_source
+    stats, requests, arrivals, appliance = replay_source
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "slo_trace.jsonl")
         write_trace(path, requests, arrivals)
         replayed_requests, replayed_arrivals = read_trace(path)
-    replayed = ContinuousBatchScheduler(
-        step, OPT_13B, memory_bytes, num_devices=devices,
-        classes=slo_classes(step), slo_admission=True,
-        metrics=NULL_REGISTRY,
-    ).run(replayed_requests, replayed_arrivals)
+    replayed = _slo_serve(appliance, step, replayed_requests,
+                          replayed_arrivals)
     rows.append({
         "metric": "slo trace replay bit-identical (1=yes) / requests",
         "value": float(replayed.as_dict() == stats.as_dict()
@@ -249,7 +241,7 @@ def run(num_requests: int = NUM_REQUESTS,
     # SLO sweep: multi-tenant continuous batching under each arrival
     # shape, with goodput-under-SLO per tenant class and a trace-replay
     # bit-identity check.
-    _slo_rows(BatchStepTimer(OPT_13B, pnm), device.memory_capacity, rows)
+    _slo_rows(device, rows)
     return ExperimentResult(
         experiment_id="service",
         title=f"OPT-13B service level: {num_requests} Poisson requests "

@@ -141,16 +141,15 @@ def run_chaos(plan: FaultPlan,
     always yields the same report.
     """
     # Imports live here, not at module top: see the module docstring.
-    from repro.accelerator.device import CXLPNMDevice
-    from repro.appliance.continuous import ContinuousBatchScheduler
+    from repro.appliance.cluster import PnmAppliance
     from repro.errors import DeviceLostError, UncorrectableMemoryError
     from repro.llm import get_model, random_weights, sampled_workload, \
         steady_arrivals, tiny_config
     from repro.obs import observe
-    from repro.perf.analytical import BatchStepTimer, PnmPerfModel
     from repro.runtime.session import InferenceSession
 
     config = config or ChaosConfig()
+    appliance = PnmAppliance(num_devices=config.num_devices)
     with chaos(plan) as state:
         with observe() as (_tracer, registry):
             # -- phase 1: functional generation through the runtime ----
@@ -168,23 +167,20 @@ def run_chaos(plan: FaultPlan,
                 outcome = "device_lost"
 
             # -- phase 2: host CXL.mem readback burst ------------------
-            link = CXLPNMDevice().link
+            link = appliance.device.link
             readback_s = 0.0
             for _ in range(config.readback_reads):
                 readback_s += link.transfer_time(config.readback_bytes)
 
             # -- phase 3: serving under device stalls/failures ---------
-            model = get_model(config.model)
-            engine = ContinuousBatchScheduler(
-                BatchStepTimer(model, PnmPerfModel(CXLPNMDevice())),
-                model, int(config.memory_gb * GB),
-                num_devices=config.num_devices)
             requests = sampled_workload(config.num_requests,
                                         seed=plan.seed)
             arrivals = steady_arrivals(len(requests),
                                        config.arrival_rate_per_s,
                                        seed=plan.seed)
-            stats = engine.run(requests, arrivals)
+            stats = appliance.serve(
+                get_model(config.model), requests, arrivals,
+                memory_bytes=int(config.memory_gb * GB))
 
         serving = stats.as_dict()
         timeline = [{"at_s": e.at_s, "device": float(e.device),

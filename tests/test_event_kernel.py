@@ -15,8 +15,11 @@ import pytest
 
 from repro.appliance import (
     ContinuousBatchScheduler,
+    GpuAppliance,
     PnmAppliance,
+    TenantClass,
 )
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, chaos
 from repro.llm import (
     OPT_1_3B,
@@ -25,8 +28,12 @@ from repro.llm import (
     steady_arrivals,
     tiny_config,
 )
+from repro.gpu import A100_40G
+from repro.perf.analytical import BatchStepTimer
 
 CFG = tiny_config()
+APPLIANCES = (PnmAppliance(num_devices=2),
+              GpuAppliance(A100_40G, num_devices=2))
 
 
 class ConstStep:
@@ -271,3 +278,50 @@ class TestScaleSmoke:
         stats = appliance.serve(OPT_1_3B, requests)
         assert len(stats.completed) == 6
         assert stats.num_instances == 2
+        # Differential: every serve() option lands on the scheduler
+        # exactly as a hand-built one would take it, on both devices.
+        requests = [InferenceRequest(16, 8, request_id=i,
+                                     tenant_class=("interactive",
+                                                   "batch")[i % 2])
+                    for i in range(24)]
+        arrivals = steady_arrivals(len(requests), 40.0, seed=5)
+        memory = OPT_1_3B.param_bytes + 3 * peak_kv_bytes(OPT_1_3B, 16, 8)
+        for appliance in APPLIANCES:
+            step = BatchStepTimer(OPT_1_3B, appliance.perf_model)
+            classes = (TenantClass("interactive", weight=3.0, priority=1,
+                                   ttft_target_s=1.5 * step.prefill_s(16),
+                                   tbt_target_s=2.0
+                                   * step.decode_step_s(1, 17)),
+                       TenantClass("batch"))
+            options = dict(max_batch=2, classes=classes,
+                           slo_admission=True)
+            served = appliance.serve(OPT_1_3B, requests, arrivals,
+                                     memory_bytes=memory, **options)
+            by_hand = ContinuousBatchScheduler(
+                step, OPT_1_3B, memory, num_devices=2, **options
+            ).run(requests, arrivals)
+            assert served.as_dict() == by_hand.as_dict()
+            assert served.class_breakdown() == by_hand.class_breakdown()
+            # The options engaged: SLO sheds, priority preemption and
+            # the per-device batch cap all show in the stats.
+            assert served.rejected and served.preemptions
+            assert served.max_occupancy <= 2 * appliance.num_devices
+
+    @pytest.mark.parametrize("appliance", APPLIANCES,
+                             ids=lambda a: a.name)
+    def test_step_timer_int8_prices_the_quantized_copy(self, appliance):
+        timer = appliance.step_timer(OPT_1_3B, "int8")
+        by_hand = BatchStepTimer(OPT_1_3B.with_dtype(1),
+                                 appliance.perf_model)
+        assert timer.prefill_s(64) == by_hand.prefill_s(64)
+        for batch, ctx in ((1, 65), (8, 577), (32, 1025)):
+            assert timer.decode_step_s(batch, ctx) \
+                == by_hand.decode_step_s(batch, ctx)
+        assert timer.decode_step_s(8, 577) \
+            < appliance.step_timer(OPT_1_3B).decode_step_s(8, 577)
+
+    @pytest.mark.parametrize("appliance", APPLIANCES,
+                             ids=lambda a: a.name)
+    def test_step_timer_rejects_unknown_quantize(self, appliance):
+        with pytest.raises(ConfigurationError, match="fp8"):
+            appliance.step_timer(OPT_1_3B, "fp8")
